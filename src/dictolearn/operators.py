@@ -209,9 +209,9 @@ def _check_pairing(dict_: Dictionary, z: CoefficientMaps):
 class ConvSynthesis:
     """Convolutional synthesis operator for one dictionary and grid shape.
 
-    Atom FFTs are precomputed once, so repeated applications inside
-    iterative solvers cost one batched FFT pass each. Kept free of
-    per-call state: apply/adjoint are pure given the inputs.
+    Atom FFTs and their conjugates are precomputed once, so repeated
+    applications inside iterative solvers cost one batched FFT pass each.
+    Kept free of per-call state: apply/adjoint are pure given the inputs.
     """
 
     mode = CONVOLUTIONAL
@@ -224,6 +224,7 @@ class ConvSynthesis:
         self._anchor = (k - 1) // 2
         self._fshape = (sfft.next_fast_len(h + k - 1), sfft.next_fast_len(w + k - 1))
         self._atom_fft = sfft.rfft2(dict_.atoms, self._fshape)
+        self._atom_fft_conj = np.conj(self._atom_fft)
 
     def apply(self, z: CoefficientMaps) -> np.ndarray:
         if z.mode != CONVOLUTIONAL:
@@ -234,7 +235,7 @@ class ConvSynthesis:
         h, w = self.grid_shape
         s = self._anchor
         zf = sfft.rfft2(z.maps, self._fshape)
-        full = sfft.irfft2((zf * self._atom_fft).sum(axis=0), self._fshape)
+        full = sfft.irfft2(np.einsum("cij,cij->ij", zf, self._atom_fft), self._fshape)
         return full[s:s + h, s:s + w]
 
     def adjoint(self, residual: np.ndarray) -> CoefficientMaps:
@@ -246,8 +247,20 @@ class ConvSynthesis:
         padded = np.zeros(self._fshape)
         padded[s:s + h, s:s + w] = residual
         rf = sfft.rfft2(padded)
-        maps = sfft.irfft2(rf[None] * np.conj(self._atom_fft), self._fshape)[:, :h, :w]
+        maps = sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
         return CoefficientMaps(CONVOLUTIONAL, maps, self.grid_shape)
+
+    def norm_sq(self) -> float:
+        """Upper bound on the largest eigenvalue of S^T S: ``max_f sum_i |D_i(f)|^2``.
+
+        The "same"-cropped linear convolution is a crop of the circular
+        convolution on the padded FFT grid (at least (H+k-1, W+k-1), so
+        nothing wraps), and that circular operator has exactly this
+        squared norm. The rfft half-plane suffices because real atoms
+        have Hermitian-symmetric spectra.
+        """
+        f = self._atom_fft
+        return float(np.max(np.sum(f.real * f.real + f.imag * f.imag, axis=0)))
 
     def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
         """Gradient of ||S(z) - x||^2 in atom coordinates, residual = S(z) - x."""

@@ -7,6 +7,9 @@ The dictionary methods split the image into a fixed low-frequency part
 
 by alternating accelerated steps: a Nesterov gradient step in x, a
 FISTA-style proximal gradient step in z, each with its own step size.
+The z step of the convolutional variant uses the closed-form spectral
+bound :meth:`ConvSynthesis.norm_sq`, which needs no safety factor; the
+x step uses a safety-scaled power-iteration estimate of ||A||^2.
 The variant regularizing all overlapping patches replaces the coupling
 by per-patch terms normalized by the patch coverage, so its z = 0 path
 coincides with the convolutional one.
@@ -14,7 +17,8 @@ coincides with the convolutional one.
 Objective traces are recorded every iteration. An increase triggers a
 momentum restart and a one-time step halving; with valid Lipschitz
 bounds a restarted iteration cannot increase the objective, keeping
-traces non-increasing.
+traces non-increasing. An increase that survives two restarts is kept
+and counted in ``ReconTrace.unresolved``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import CoefficientMaps, ContractError, Dictionary, ImageGrid, make_synthesis
-from .sparse import DivergenceError, estimate_lipschitz, soft_threshold
+from .sparse import DivergenceError, soft_threshold
 from .tomo import Sinogram, fbp, get_projector, likelihood_weights
 
 __all__ = [
@@ -86,7 +90,11 @@ class HuberConfig:
 
 @dataclass
 class ReconTrace:
-    """Per-iteration objective decomposition of one reconstruction."""
+    """Per-iteration objective decomposition of one reconstruction.
+
+    ``unresolved`` counts iterations whose objective still rose after
+    the retries of the monotonicity guard and was kept anyway.
+    """
 
     objective: list[float] = field(default_factory=list)
     data_term: list[float] = field(default_factory=list)
@@ -94,6 +102,7 @@ class ReconTrace:
     l1_term: list[float] = field(default_factory=list)
     halvings: int = 0
     restarts: int = 0
+    unresolved: int = 0
 
     def append(self, data, coupling, l1):
         self.objective.append(data + coupling + l1)
@@ -125,14 +134,13 @@ def recon_objective(x: ImageGrid, z: CoefficientMaps, y: Sinogram, dict_: Dictio
 class _ConvCoupling:
     """lambda1 ||x - S(z)||^2 with the convolutional synthesis operator."""
 
-    def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2, seed):
+    def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
         self.op = make_synthesis(dict_, "convolutional", grid_shape)
         self.lambda1 = lambda1
         self.lambda2 = lambda2
         self.mode = "convolutional"
         self.grid_shape = tuple(grid_shape)
-        self.lz = 2.0 * lambda1 * estimate_lipschitz(
-            dict_, grid_shape, "convolutional", power_iters=50, safety=_SAFETY, seed=seed)
+        self.lz = 2.0 * lambda1 * self.op.norm_sq()
 
     def z_zero(self):
         return self.op.zeros().maps
@@ -160,7 +168,7 @@ class _OverlapPatchCoupling:
     patch recomposition, making the x-gradient 2*lambda1*(x - synth(z)).
     """
 
-    def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2, seed):
+    def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
         self.k = dict_.atom_side
         self.m = dict_.atom_count
         self.flat = dict_.flat()
@@ -222,7 +230,7 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     y_res = y.values - proj.forward(x_lf)
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
-    coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2, cfg.seed)
+    coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
     z = coupling.z_zero()
 
     lx = _SAFETY * 2.0 * w_max * proj.norm_sq(seed=cfg.seed) + 2.0 * cfg.lambda1
@@ -280,7 +288,10 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
                 )
 
             slack = 1e-12 * max(1.0, abs(trace.objective[0])) if trace.objective else np.inf
-            if obj <= obj_last + slack or attempts >= 2:
+            if obj <= obj_last + slack:
+                break
+            if attempts >= 2:
+                trace.unresolved += 1
                 break
             # Monotonicity guard: restart momentum from the current
             # iterate; on the first violation also halve both steps.

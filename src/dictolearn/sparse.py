@@ -1,10 +1,13 @@
 """L1-regularized sparse coding with FISTA.
 
 Solves ``min_z ||S(z) - x||^2 + lambda * ||z||_1`` for either synthesis
-mode. Step sizes come from a safety-scaled power-iteration estimate of
-the largest eigenvalue of S^T S, so every gradient step is a guaranteed
-descent step; an adaptive restart keeps the recorded objective trace
-non-increasing despite momentum.
+mode. The step size is ``1 / (2 L)`` for an upper bound L on the largest
+eigenvalue of S^T S. Callers that know L pass it in (training uses the
+exact patch-mode value sigma_max(D)^2); otherwise
+:func:`estimate_lipschitz` approximates it by power iteration, which
+approaches the eigenvalue from below, times a safety factor. An adaptive
+restart keeps the recorded objective trace non-increasing despite
+momentum.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ __all__ = [
 class SparseCodeConfig:
     """Knobs for one sparse-coding solve.
 
-    ``lipschitz_safety`` multiplies the power-iteration eigenvalue
-    estimate; 1.05 guarantees descent without a line search.
+    ``lipschitz_safety``, ``power_iters`` and ``seed`` are used only when
+    :func:`fista_sparse_code` estimates the Lipschitz bound itself (no
+    ``lipschitz`` argument): the safety factor multiplies the
+    power-iteration estimate, which approaches the largest eigenvalue of
+    S^T S from below.
     """
 
     lam: float = 0.1
@@ -69,11 +75,20 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise ``sign(u) * max(|u| - tau, 0)``.
 
     Closed-form minimizer of ``tau*|z| + 0.5*(z - u)^2`` per entry.
+    Computed as ``u - clip(u, -tau, tau)`` in one output array. Integer
+    input gives float64.
     """
     if tau < 0:
         raise ContractError("tau must be >= 0")
     u = np.asarray(u)
-    return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
+    if u.dtype.kind != "f":
+        u = u.astype(np.float64)
+    out = np.maximum(u, -tau)
+    if out.ndim == 0:
+        # 0-d input yields a NumPy scalar, which cannot take ``out=``.
+        return u - np.minimum(out, tau)
+    np.minimum(out, tau, out=out)
+    return np.subtract(u, out, out=out)
 
 
 def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) -> float:

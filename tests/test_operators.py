@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dictolearn.operators import (
     CoefficientMaps,
     ContractError,
+    ConvSynthesis,
     Dictionary,
     ImageGrid,
     ZeroAtomError,
@@ -15,6 +16,7 @@ from dictolearn.operators import (
     synthesize_conv,
     synthesize_patch,
 )
+from dictolearn.sparse import estimate_lipschitz
 from conftest import dense_conv_reference, adjoint_rel_err
 
 
@@ -26,6 +28,20 @@ def impulse_dictionary(k=3):
 
 def conv_maps(values, shape):
     return CoefficientMaps("convolutional", values, shape)
+
+
+def dense_conv_matrix(d, shape):
+    """S assembled column by column from indicator maps."""
+    m = d.atom_count
+    h, w = shape
+    cols = []
+    for i in range(m):
+        for r in range(h):
+            for c in range(w):
+                e = np.zeros((m, h, w))
+                e[i, r, c] = 1.0
+                cols.append(synthesize_conv(d, conv_maps(e, shape)).values.ravel())
+    return np.stack(cols, axis=1)
 
 
 def test_synthesize_conv_zero_coefficients():
@@ -46,14 +62,7 @@ def test_synthesize_conv_matches_assembled_matrix(rng):
     # then compare against the operator on a sparse z (two nonzeros per map).
     d = Dictionary.random(2, 3, 3)
     h = w = 8
-    cols = []
-    for i in range(2):
-        for r in range(h):
-            for c in range(w):
-                e = np.zeros((2, h, w))
-                e[i, r, c] = 1.0
-                cols.append(synthesize_conv(d, conv_maps(e, (h, w))).values.ravel())
-    matrix = np.stack(cols, axis=1)
+    matrix = dense_conv_matrix(d, (h, w))
 
     z = np.zeros((2, h, w))
     for i in range(2):
@@ -69,6 +78,33 @@ def test_synthesize_conv_matches_loop_reference(rng):
     out = synthesize_conv(d, conv_maps(z, (9, 7))).values
     ref = dense_conv_reference(d.atoms, z)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
+
+
+def test_conv_norm_sq_impulse_atom():
+    # A corner impulse has an all-ones spectrum in exact FFT arithmetic;
+    # a centred one differs from 1 only by twiddle-factor rounding.
+    corner = np.zeros((1, 3, 3))
+    corner[0, 0, 0] = 1.0
+    assert ConvSynthesis(Dictionary(corner), (8, 8)).norm_sq() == 1.0
+    for shape in ((8, 8), (10, 12)):
+        assert ConvSynthesis(impulse_dictionary(3), shape).norm_sq() == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("m, k, shape", [(1, 3, (6, 6)), (2, 4, (6, 6)), (3, 3, (5, 7)),
+                                         (2, 2, (7, 7)), (3, 5, (8, 6))])
+def test_conv_norm_sq_bounds_dense_eigenvalue(m, k, shape):
+    d = Dictionary.random(m, k, 100 * m + k)
+    S = dense_conv_matrix(d, shape)
+    true = np.linalg.eigvalsh(S.T @ S).max()
+    assert ConvSynthesis(d, shape).norm_sq() >= true * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (48, 80)])
+def test_conv_norm_sq_tight_against_power_iteration(shape):
+    d = Dictionary.random(64, 8, 5)
+    bound = ConvSynthesis(d, shape).norm_sq()
+    est = estimate_lipschitz(d, shape, "convolutional", power_iters=100, safety=1.0)
+    assert est <= bound <= 1.05 * est
 
 
 def test_synthesize_patch_zero():

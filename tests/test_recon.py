@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from dictolearn.analytics import shepp_logan
-from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid
+from dictolearn.operators import CoefficientMaps, ContractError, ConvSynthesis, Dictionary, ImageGrid
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
+    _ConvCoupling,
+    _accelerated_recon,
     huber_loss_and_gradient,
     huber_value,
     image_gradient,
@@ -117,6 +119,49 @@ def test_reconstruct_double_iterations_runs(noisy_problem, dictionary):
     img2, trace2 = reconstruct_dict(y, dictionary, cfg2, (N, N), SPACING)
     assert len(trace2.objective) == 80
     assert np.all(np.isfinite(img2.values))
+
+
+def test_reconstruct_dict_synthesis_call_count(noisy_problem, dictionary, monkeypatch):
+    # One synthesis per iteration plus the initial one, one adjoint per
+    # iteration: the z step size costs no operator applications.
+    _, y = noisy_problem
+    calls = {"apply": 0, "adjoint": 0}
+
+    def counted(name):
+        method = getattr(ConvSynthesis, name)
+
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+        return wrapper
+
+    monkeypatch.setattr(ConvSynthesis, "apply", counted("apply"))
+    monkeypatch.setattr(ConvSynthesis, "adjoint", counted("adjoint"))
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=5, lowpass_cutoff=0.10, seed=0)
+    _, trace = reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
+    assert trace.restarts == 0
+    assert calls == {"apply": 6, "adjoint": 5}
+
+
+def test_unresolved_rises_are_counted(noisy_problem, dictionary):
+    # A z step bound five times too small stays invalid after the single
+    # halving, so rises survive both retries; each kept rise is counted.
+    _, y = noisy_problem
+
+    class TooSmallStepBound(_ConvCoupling):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.lz *= 0.2
+
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=12, lowpass_cutoff=0.10, seed=0)
+    _, trace = _accelerated_recon(y, dictionary, cfg, (N, N), SPACING, TooSmallStepBound)
+    obj = np.asarray(trace.objective)
+    assert np.all(np.isfinite(obj))
+    slack = 1e-12 * max(1.0, abs(obj[0]))
+    rises = int(np.sum(np.diff(obj) > slack))
+    assert rises > 0
+    assert trace.unresolved == rises
+    assert trace.halvings == 1
 
 
 def test_clinical_scale_operating_points_are_defaults():

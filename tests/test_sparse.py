@@ -54,6 +54,29 @@ def test_soft_threshold_nonexpansive(seed, tau):
     assert lhs <= np.linalg.norm(u - v) + 1e-12
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.4, 1.3])
+def test_soft_threshold_matches_sign_formula(rng, tau):
+    u = rng.standard_normal((5, 7, 9))
+    u.flat[:6] = [tau, -tau, 0.0, -0.0, tau, -tau]
+    before = u.copy()
+    got = soft_threshold(u, tau)
+    np.testing.assert_array_equal(got, np.sign(u) * np.maximum(np.abs(u) - tau, 0.0))
+    np.testing.assert_array_equal(u, before)
+
+
+def test_soft_threshold_scalars_lists_and_dtypes():
+    assert soft_threshold(1.5, 0.5) == 1.0
+    assert soft_threshold(np.float64(-0.2), 0.5) == 0.0
+    assert soft_threshold(np.array(-2.0), 0.5) == -1.5
+    np.testing.assert_array_equal(soft_threshold([1.5, -0.3, -2.0], 0.5), [1.0, 0.0, -1.5])
+    ints = soft_threshold(np.array([3, -1, 0]), 1)
+    assert ints.dtype == np.float64
+    np.testing.assert_array_equal(ints, [2.0, 0.0, 0.0])
+    singles = soft_threshold(np.array([1.5, -0.25], dtype=np.float32), 0.5)
+    assert singles.dtype == np.float32
+    np.testing.assert_array_equal(singles, np.array([1.0, 0.0], dtype=np.float32))
+
+
 def test_estimate_lipschitz_impulse_atom():
     atom = np.zeros((1, 3, 3))
     atom[0, 1, 1] = 1.0
