@@ -182,12 +182,6 @@ def _center_crop(values: np.ndarray, size: int) -> np.ndarray:
     return values[r0:r0 + size, c0:c0 + size]
 
 
-def _patch_lipschitz(dict_: Dictionary, safety: float = 1.05) -> float:
-    """Exact largest eigenvalue of S^T S in patch mode: sigma_max(D)^2."""
-    smax = np.linalg.svd(dict_.flat(), compute_uv=False)[0]
-    return safety * smax * smax
-
-
 def train_dictionary(dataset, cfg: TrainConfig,
                      geom: AcquisitionGeometry | None = None,
                      cutoff_fraction: float = 0.10):
@@ -255,8 +249,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
 
     def code(dict_, values, iters):
         sc = SparseCodeConfig(lam=lam, max_iters=iters, seed=0)
-        return fista_sparse_code(dict_, ImageGrid(values), sc, "patch",
-                                 lipschitz=_patch_lipschitz(dict_))
+        return fista_sparse_code(dict_, ImageGrid(values), sc, "patch")
 
     for step in range(1, cfg.steps + 1):
         crop = random_crop(highpass[int(rng.choice(train_idx))])

@@ -318,6 +318,15 @@ class PatchSynthesis:
         maps = self._tiles(residual) @ self._flat.T
         return CoefficientMaps(PATCH, maps, self.grid_shape)
 
+    def norm_sq(self) -> float:
+        """Largest eigenvalue of S^T S: ``sigma_max(D)^2``.
+
+        Exact, because S^T S is block diagonal with one D D^T block per
+        tile.
+        """
+        smax = np.linalg.svd(self._flat, compute_uv=False)[0]
+        return float(smax * smax)
+
     def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
         k = self.dict.atom_side
         r_tiles = self._tiles(np.asarray(residual, dtype=np.float64))

@@ -5,20 +5,21 @@ The dictionary methods split the image into a fixed low-frequency part
 
     min_{x, z}  L(A(x), y) + lambda1 * ||x - S(z)||^2 + lambda2 * ||z||_1
 
-by alternating accelerated steps: a Nesterov gradient step in x, a
-FISTA-style proximal gradient step in z, each with its own step size.
-The z step of the convolutional variant uses the closed-form spectral
-bound :meth:`ConvSynthesis.norm_sq`, which needs no safety factor; the
-x step uses a safety-scaled power-iteration estimate of ||A||^2.
-The variant regularizing all overlapping patches replaces the coupling
-by per-patch terms normalized by the patch coverage, so its z = 0 path
+by alternating accelerated steps: a gradient step in x and a proximal
+gradient step in z, each with its own step size. The z step bounds are
+closed forms that need no safety factor: the spectral bound
+:meth:`ConvSynthesis.norm_sq` for the convolutional variant and the exact
+sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq` for the variant
+regularizing all overlapping patches. The x step uses a safety-scaled
+power-iteration estimate of ||A||^2. The overlapping-patch variant
+normalizes its per-patch terms by the patch coverage, so its z = 0 path
 coincides with the convolutional one.
 
-Objective traces are recorded every iteration. An increase triggers a
-momentum restart and a one-time step halving; with valid Lipschitz
-bounds a restarted iteration cannot increase the objective, keeping
-traces non-increasing. An increase that survives two restarts is kept
-and counted in ``ReconTrace.unresolved``.
+Both methods and the Huber baseline run :func:`accelerated_descent`, so
+they share one restart policy. An objective rise beyond rounding restarts
+the momentum from the last iterate; a rise from a plain step doubles the
+step bounds once per solve; a rise after that is kept and counted in
+``ReconTrace.unresolved``. With valid bounds traces are non-increasing.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import CoefficientMaps, ContractError, Dictionary, ImageGrid, make_synthesis
-from .sparse import DivergenceError, soft_threshold
+from .operators import (CoefficientMaps, ContractError, Dictionary, ImageGrid, PatchSynthesis,
+                        make_synthesis)
+from .sparse import accelerated_descent, soft_threshold
 from .tomo import Sinogram, fbp, get_projector, likelihood_weights
 
 __all__ = [
@@ -92,8 +94,9 @@ class HuberConfig:
 class ReconTrace:
     """Per-iteration objective decomposition of one reconstruction.
 
-    ``unresolved`` counts iterations whose objective still rose after
-    the retries of the monotonicity guard and was kept anyway.
+    ``restarts``, ``halvings`` and ``unresolved`` are the counters of
+    :func:`accelerated_descent`; ``unresolved`` counts rises that were
+    kept anyway.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -132,13 +135,18 @@ def recon_objective(x: ImageGrid, z: CoefficientMaps, y: Sinogram, dict_: Dictio
 
 
 class _ConvCoupling:
-    """lambda1 ||x - S(z)||^2 with the convolutional synthesis operator."""
+    """lambda1 ||x - S(z)||^2 + lambda2 ||z||_1 with the convolutional synthesis operator.
+
+    A coupling gives the z step everything it needs: the step bound
+    ``lz``, the l1 weight, the zero start, the synthesis, the z-gradient
+    and the value of the coupling term, and the channel-first layout of
+    its coefficients.
+    """
 
     def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
         self.op = make_synthesis(dict_, "convolutional", grid_shape)
         self.lambda1 = lambda1
-        self.lambda2 = lambda2
-        self.mode = "convolutional"
+        self.l1_weight = lambda2
         self.grid_shape = tuple(grid_shape)
         self.lz = 2.0 * lambda1 * self.op.norm_sq()
 
@@ -146,17 +154,17 @@ class _ConvCoupling:
         return self.op.zeros().maps
 
     def synth(self, z):
-        return self.op.apply(CoefficientMaps(self.mode, z, self.grid_shape))
+        return self.op.apply(CoefficientMaps("convolutional", z, self.grid_shape))
 
-    def grad_z(self, x, synth_z):
-        return 2.0 * self.lambda1 * self.op.adjoint(synth_z - x).maps
+    def grad_z(self, x, z, sz):
+        return 2.0 * self.lambda1 * self.op.adjoint(sz - x).maps
 
-    def value(self, x, synth_z):
-        r = x - synth_z
+    def value(self, x, z, sz):
+        r = x - sz
         return self.lambda1 * float(np.sum(r * r))
 
-    def l1(self, z):
-        return self.lambda2 * float(np.sum(np.abs(z)))
+    def channel_first(self, z):
+        return z
 
 
 class _OverlapPatchCoupling:
@@ -169,17 +177,15 @@ class _OverlapPatchCoupling:
     """
 
     def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
-        self.k = dict_.atom_side
+        k = dict_.atom_side
+        self.k = k
         self.m = dict_.atom_count
         self.flat = dict_.flat()
         self.lambda1 = lambda1
-        self.lambda2 = lambda2
-        self.mode = "patch-overlap"
+        self.l1_weight = lambda2 / k ** 2
         self.grid_shape = tuple(grid_shape)
-        k = self.k
         self.n_pos = (grid_shape[0] + k - 1, grid_shape[1] + k - 1)
-        smax = np.linalg.svd(self.flat, compute_uv=False)[0]
-        self.lz = _SAFETY * 2.0 * lambda1 / k ** 2 * smax * smax
+        self.lz = 2.0 * lambda1 / k ** 2 * PatchSynthesis(dict_, (k, k)).norm_sq()
 
     def z_zero(self):
         return np.zeros(self.n_pos + (self.m,))
@@ -202,123 +208,59 @@ class _OverlapPatchCoupling:
     def synth(self, z):
         return self._fold(z @ self.flat) / self.k ** 2
 
-    def grad_z(self, x, synth_z, z):
+    def grad_z(self, x, z, sz):
         scale = 2.0 * self.lambda1 / self.k ** 2
         return scale * ((z @ self.flat - self._patches(x)) @ self.flat.T)
 
-    def value_patch(self, x, z):
+    def value(self, x, z, sz):
         diff = z @ self.flat - self._patches(x)
         return self.lambda1 / self.k ** 2 * float(np.sum(diff * diff))
 
-    def l1(self, z):
-        return self.lambda2 / self.k ** 2 * float(np.sum(np.abs(z)))
-
-
-def _momentum(t):
-    return (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    def channel_first(self, z):
+        return np.moveaxis(z, 2, 0)
 
 
 def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
                        grid_shape, pixel_spacing, coupling_cls,
                        return_coefficients: bool = False):
-    geom = y.geometry
-    proj = get_projector(geom, grid_shape, pixel_spacing)
+    proj = get_projector(y.geometry, grid_shape, pixel_spacing)
     w = likelihood_weights(y)
-    w_max = float(np.max(w))
 
     x_lf = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=cfg.lowpass_cutoff).values
     y_res = y.values - proj.forward(x_lf)
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
     coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
-    z = coupling.z_zero()
+    lx = _SAFETY * 2.0 * float(np.max(w)) * proj.norm_sq(seed=cfg.seed) + 2.0 * cfg.lambda1
 
-    lx = _SAFETY * 2.0 * w_max * proj.norm_sq(seed=cfg.seed) + 2.0 * cfg.lambda1
-    lz = coupling.lz
-    halvings = 0
-
-    overlap = isinstance(coupling, _OverlapPatchCoupling)
-
-    def grad_z(x_new, z_prime, synth_prime):
-        if overlap:
-            return coupling.grad_z(x_new, synth_prime, z_prime)
-        return coupling.grad_z(x_new, synth_prime)
-
-    def coupling_value(x_new, z_new, synth_new):
-        if overlap:
-            return coupling.value_patch(x_new, z_new)
-        return coupling.value(x_new, synth_new)
-
-    def data_value(ax):
+    def objective_parts(x, ax, z, sz):
         d = ax - y_res
-        return float(np.sum(w * d * d))
+        return (float(np.sum(w * d * d)), coupling.value(x, z, sz),
+                coupling.l1_weight * float(np.sum(np.abs(z))))
 
-    trace = ReconTrace()
+    # The state carries A(x) and S(z) beside the iterates (x, z), so each
+    # step costs one forward and one adjoint of A and of S.
+    def step(point, scale):
+        xp, axp, zp, szp = point
+        gx = 2.0 * proj.adjoint(w * (axp - y_res)) + 2.0 * cfg.lambda1 * (xp - szp)
+        x_new = xp - gx / (scale * lx)
+        ax_new = proj.forward(x_new)
+        lz = scale * coupling.lz
+        z_new = soft_threshold(zp - coupling.grad_z(x_new, zp, szp) / lz, coupling.l1_weight / lz)
+        new = (x_new, ax_new, z_new, coupling.synth(z_new))
+        return new, objective_parts(*new)
 
-    # State: iterates (x, z), extrapolated points (xp, zp), and the
-    # projections/syntheses of each, maintained by linearity.
-    ax = proj.forward(x)
-    sz = coupling.synth(z)
-    xp, zp, axp, szp = x, z, ax, sz
-    t = 1.0
-    obj_last = np.inf
+    z = coupling.z_zero()
+    start = (x, proj.forward(x), z, coupling.synth(z))
+    run = accelerated_descent(step, start, sum(objective_parts(*start)), cfg.iters)
+    trace = ReconTrace(halvings=run.halvings, restarts=run.restarts, unresolved=run.unresolved)
+    for parts in run.parts:
+        trace.append(*parts)
 
-    it = 0
-    while it < cfg.iters:
-        attempts = 0
-        while True:
-            t_next = _momentum(t)
-            gx = 2.0 * proj.adjoint(w * (axp - y_res)) + 2.0 * cfg.lambda1 * (xp - szp)
-            x_new = xp - gx / lx
-            ax_new = proj.forward(x_new)
-
-            gz = grad_z(x_new, zp, szp)
-            tau = (coupling.lambda2 / coupling.k ** 2 if overlap else coupling.lambda2) / lz
-            z_new = soft_threshold(zp - gz / lz, tau)
-            sz_new = coupling.synth(z_new)
-
-            data = data_value(ax_new)
-            coup = coupling_value(x_new, z_new, sz_new)
-            l1 = coupling.l1(z_new)
-            obj = data + coup + l1
-            if not np.isfinite(obj):
-                raise DivergenceError(
-                    f"non-finite reconstruction objective at iteration {it}",
-                    {"iteration": it, "objective": obj, "trace": trace.objective[:]},
-                )
-
-            slack = 1e-12 * max(1.0, abs(trace.objective[0])) if trace.objective else np.inf
-            if obj <= obj_last + slack:
-                break
-            if attempts >= 2:
-                trace.unresolved += 1
-                break
-            # Monotonicity guard: restart momentum from the current
-            # iterate; on the first violation also halve both steps.
-            trace.restarts += 1
-            t = 1.0
-            xp, zp, axp, szp = x, z, ax, sz
-            if halvings == 0:
-                lx *= 2.0
-                lz *= 2.0
-                halvings += 1
-                trace.halvings = halvings
-            attempts += 1
-
-        mom = (t - 1.0) / t_next
-        xp = x_new + mom * (x_new - x)
-        axp = ax_new + mom * (ax_new - ax)
-        zp = z_new + mom * (z_new - z)
-        szp = sz_new + mom * (sz_new - sz)
-        x, ax, z, sz, t = x_new, ax_new, z_new, sz_new, t_next
-        obj_last = obj
-        trace.append(data, coup, l1)
-        it += 1
-
+    x, _, z, _ = run.state
     image = ImageGrid(x_lf + x, pixel_spacing)
     if return_coefficients:
-        channel_first = z if not overlap else np.moveaxis(z, 2, 0)
-        return image, trace, channel_first
+        return image, trace, coupling.channel_first(z)
     return image, trace
 
 
@@ -391,42 +333,38 @@ def huber_loss_and_gradient(x: ImageGrid, y: Sinogram, cfg: HuberConfig):
 
 def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
                       pixel_spacing: float = 1.0, return_trace: bool = False):
-    """Weighted least squares plus Huber-of-gradient, by Nesterov descent.
+    """Weighted least squares plus Huber-of-gradient, by accelerated descent.
 
-    Runs exactly ``cfg.iters`` accelerated gradient iterations from an
-    FBP warm start. With ``return_trace`` also returns the per-iteration
-    objective values.
+    Runs exactly ``cfg.iters`` iterations of :func:`accelerated_descent`
+    on the state ``(x, A x)`` from an FBP warm start. With
+    ``return_trace`` also returns the per-iteration objective values.
     """
-    geom = y.geometry
-    proj = get_projector(geom, grid_shape, pixel_spacing)
+    proj = get_projector(y.geometry, grid_shape, pixel_spacing)
     w = likelihood_weights(y)
     # ||grad||^2 <= 8 for forward differences; the Huber slope is
     # (1/gamma)-Lipschitz.
     lip = _SAFETY * (2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * cfg.lam / cfg.gamma)
 
-    x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=0.75).values
-    ax = proj.forward(x)
-    xp, axp = x, ax
-    t = 1.0
-    trace = []
-    for _ in range(cfg.iters):
+    def objective(x, ax):
+        d = ax - y.values
+        gh, gv = image_gradient(x)
+        return float(np.sum(w * d * d)) \
+            + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
+
+    def step(point, scale):
+        xp, axp = point
         gh, gv = image_gradient(xp)
         grad = 2.0 * proj.adjoint(w * (axp - y.values))
         grad += cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
                                                  _huber_slope(gv, cfg.gamma))
-        x_new = xp - grad / lip
+        x_new = xp - grad / (scale * lip)
         ax_new = proj.forward(x_new)
-        if return_trace:
-            d = ax_new - y.values
-            gh_n, gv_n = image_gradient(x_new)
-            trace.append(float(np.sum(w * d * d))
-                         + cfg.lam * (huber_value(gh_n, cfg.gamma) + huber_value(gv_n, cfg.gamma)))
-        t_next = _momentum(t)
-        mom = (t - 1.0) / t_next
-        xp = x_new + mom * (x_new - x)
-        axp = ax_new + mom * (ax_new - ax)
-        x, ax, t = x_new, ax_new, t_next
-    image = ImageGrid(x, pixel_spacing)
+        return (x_new, ax_new), (objective(x_new, ax_new),)
+
+    x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=0.75).values
+    start = (x, proj.forward(x))
+    run = accelerated_descent(step, start, objective(*start), cfg.iters)
+    image = ImageGrid(run.state[0], pixel_spacing)
     if return_trace:
-        return image, trace
+        return image, [parts[0] for parts in run.parts]
     return image

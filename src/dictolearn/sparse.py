@@ -1,18 +1,22 @@
-"""L1-regularized sparse coding with FISTA.
+"""L1-regularized sparse coding and the shared accelerated proximal-gradient loop.
 
 Solves ``min_z ||S(z) - x||^2 + lambda * ||z||_1`` for either synthesis
-mode. The step size is ``1 / (2 L)`` for an upper bound L on the largest
-eigenvalue of S^T S. Callers that know L pass it in (training uses the
-exact patch-mode value sigma_max(D)^2); otherwise
-:func:`estimate_lipschitz` approximates it by power iteration, which
-approaches the eigenvalue from below, times a safety factor. An adaptive
-restart keeps the recorded objective trace non-increasing despite
-momentum.
+mode with step size ``1 / (2 L)``, L an upper bound on the largest
+eigenvalue of S^T S. Callers that know L pass it in; otherwise it is the
+operator's closed-form ``norm_sq()``: sigma_max(D)^2 in patch mode
+(exact), the spectral bound in convolutional mode. Neither needs a safety
+factor; :func:`estimate_lipschitz` is their power-iteration reference.
+
+:func:`accelerated_descent` runs this solver, both dictionary
+reconstructions and the Huber baseline under one restart policy: a rise
+beyond rounding restarts the momentum, a rise from a plain step doubles
+the bounds once per solve, and a rise after that is kept and counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +35,8 @@ __all__ = [
     "power_iteration_norm",
     "estimate_lipschitz",
     "sparse_objective",
+    "Descent",
+    "accelerated_descent",
     "fista_sparse_code",
 ]
 
@@ -39,17 +45,12 @@ __all__ = [
 class SparseCodeConfig:
     """Knobs for one sparse-coding solve.
 
-    ``lipschitz_safety``, ``power_iters`` and ``seed`` are used only when
-    :func:`fista_sparse_code` estimates the Lipschitz bound itself (no
-    ``lipschitz`` argument): the safety factor multiplies the
-    power-iteration estimate, which approaches the largest eigenvalue of
-    S^T S from below.
+    ``seed`` no longer affects the solve: the default step bound is the
+    synthesis operator's closed-form ``norm_sq()``, with nothing random.
     """
 
     lam: float = 0.1
     max_iters: int = 50
-    lipschitz_safety: float = 1.05
-    power_iters: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -57,10 +58,6 @@ class SparseCodeConfig:
             raise ContractError("lam must be >= 0")
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
-        if self.lipschitz_safety < 1:
-            raise ContractError("lipschitz_safety must be >= 1")
-        if self.power_iters < 1:
-            raise ContractError("power_iters must be >= 1")
 
 
 class DivergenceError(RuntimeError):
@@ -116,10 +113,11 @@ def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) 
 
 def estimate_lipschitz(dict_: Dictionary, grid_shape, mode: str,
                        power_iters: int = 30, safety: float = 1.05, seed: int = 0) -> float:
-    """Safety-scaled largest eigenvalue of S^T S for the given mode.
+    """Safety-scaled power-iteration estimate of the largest eigenvalue of S^T S.
 
-    The gradient of ``||S(z) - x||^2`` is 2 S^T(S z - x), so solvers use
-    step size ``1 / (2 * estimate)``.
+    The estimate approaches the eigenvalue from below. Solvers use the
+    closed-form ``norm_sq()`` of the synthesis operators instead; this is
+    their independent reference.
     """
     if power_iters < 1:
         raise ContractError("power_iters must be >= 1")
@@ -142,18 +140,84 @@ def sparse_objective(dict_: Dictionary, z: CoefficientMaps, x: ImageGrid, lam: f
     return float(np.sum(residual * residual) + lam * np.sum(np.abs(z.maps)))
 
 
+@dataclass
+class Descent:
+    """Final state, objective parts per iteration and restart counters of a solve."""
+
+    state: tuple
+    parts: list = field(default_factory=list)
+    restarts: int = 0
+    halvings: int = 0
+    unresolved: int = 0
+
+
+def accelerated_descent(step, start, f_start: float, iters: int) -> Descent:
+    """Accelerated proximal gradient with function-value restart.
+
+    ``start`` is a tuple of arrays: the iterate plus any linear images of
+    it the caller keeps (such as ``A x``); every array is extrapolated
+    alike, which keeps the images exact. ``step(point, scale)`` takes one
+    proximal-gradient step from ``point`` with every Lipschitz bound
+    multiplied by ``scale`` and returns ``(new_state, objective_parts)``;
+    the objective is their sum, and ``f_start`` its value at ``start``.
+
+    Momentum follows FISTA (Beck & Teboulle 2009). A rise counts only if
+    it exceeds the last accepted objective by more than
+    ``1e-12 * max(1, |f_start|)``. A rise from an extrapolated point
+    resets the momentum and retries from the last iterate (``restarts``;
+    O'Donoghue & Candes 2015). A rise from a plain step means a bound is
+    too small: ``scale`` becomes 2, once per solve, and the step is
+    retried (``halvings``). A rise after that is kept (``unresolved``).
+    A non-finite objective raises :class:`DivergenceError`.
+    """
+    slack = 1e-12 * max(1.0, abs(f_start))
+    state = point = start
+    f_last, t, scale = f_start, 1.0, 1.0
+    run = Descent(start)
+    for it in range(iters):
+        while True:
+            new, parts = step(point, scale)
+            f = sum(parts)
+            if not math.isfinite(f):
+                raise DivergenceError(
+                    f"non-finite objective at iteration {it}",
+                    {"iteration": it, "objective": f, "trace": [sum(p) for p in run.parts],
+                     "max_abs": [float(np.max(np.abs(a))) for a in new]},
+                )
+            if f <= f_last + slack:
+                break
+            if point is not state:
+                run.restarts += 1
+                point, t = state, 1.0
+            elif scale == 1.0:
+                run.halvings += 1
+                scale = 2.0
+            else:
+                run.unresolved += 1
+                break
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        mom = (t - 1.0) / t_next
+        point = new if mom == 0.0 else tuple(a + mom * (a - b) for a, b in zip(new, state))
+        state, f_last, t = new, f, t_next
+        run.parts.append(parts)
+    run.state = state
+    return run
+
+
 def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
                       lipschitz: float | None = None):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
-    Runs a fixed number of accelerated proximal-gradient iterations with
-    the standard momentum rule t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and
-    an objective-value restart that guarantees a non-increasing trace.
+    Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent` on
+    the state ``(z,)``; with a valid bound the objective trace does not
+    rise beyond rounding.
 
     Parameters
     ----------
     lipschitz : float, optional
-        Precomputed :func:`estimate_lipschitz` value; estimated when absent.
+        Upper bound on the largest eigenvalue of S^T S. Defaults to the
+        operator's closed-form ``norm_sq()``: exact in patch mode, the
+        spectral bound in convolutional mode.
 
     Returns
     -------
@@ -162,8 +226,7 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     """
     op = make_synthesis(dict_, mode, x.shape)
     if lipschitz is None:
-        lipschitz = estimate_lipschitz(dict_, x.shape, mode,
-                                       cfg.power_iters, cfg.lipschitz_safety, cfg.seed)
+        lipschitz = op.norm_sq()
     target = x.values
 
     z = op.zeros().maps
@@ -172,39 +235,24 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
         zc = CoefficientMaps(mode, z, x.shape)
         return zc, np.full(cfg.max_iters, sparse_objective(dict_, zc, x, cfg.lam))
 
-    step = 1.0 / (2.0 * lipschitz)
-    tau = cfg.lam * step
+    step_size = 1.0 / (2.0 * lipschitz)
+
+    def residual(zm):
+        return op.apply(CoefficientMaps(mode, zm, x.shape)) - target
 
     def objective(zm):
-        r = op.apply(CoefficientMaps(mode, zm, x.shape)) - target
+        r = residual(zm)
         return float(np.sum(r * r) + cfg.lam * np.sum(np.abs(zm)))
 
-    y = z
-    t = 1.0
-    best = objective(z)
-    trace = np.empty(cfg.max_iters)
-    for it in range(cfg.max_iters):
-        grad = 2.0 * op.adjoint(op.apply(CoefficientMaps(mode, y, x.shape)) - target).maps
-        z_new = soft_threshold(y - step * grad, tau)
-        obj = objective(z_new)
-        if not np.isfinite(obj):
-            raise DivergenceError(
-                f"non-finite objective at iteration {it}",
-                {"iteration": it, "objective": obj,
-                 "max_abs_z": float(np.max(np.abs(z_new))), "lipschitz": lipschitz},
-            )
-        if obj > best:
-            # Momentum overshoot: restart from the last iterate. A plain
-            # proximal step with a valid Lipschitz bound cannot increase
-            # the objective, so the trace stays monotone.
-            y = z
-            t = 1.0
-            grad = 2.0 * op.adjoint(op.apply(CoefficientMaps(mode, y, x.shape)) - target).maps
-            z_new = soft_threshold(y - step * grad, tau)
-            obj = objective(z_new)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = z_new + ((t - 1.0) / t_new) * (z_new - z)
-        z, t = z_new, t_new
-        best = min(best, obj)
-        trace[it] = obj
-    return CoefficientMaps(mode, z, x.shape), trace
+    def step(point, scale):
+        (y,) = point
+        h = step_size / scale
+        z_new = soft_threshold(y - h * (2.0 * op.adjoint(residual(y)).maps), cfg.lam * h)
+        return (z_new,), (objective(z_new),)
+
+    try:
+        run = accelerated_descent(step, (z,), objective(z), cfg.max_iters)
+    except DivergenceError as err:
+        err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=lipschitz)
+        raise
+    return CoefficientMaps(mode, run.state[0], x.shape), np.array([p[0] for p in run.parts])

@@ -16,7 +16,7 @@ from dictolearn.elbo import (
     posterior_mode,
     sample_laplace,
 )
-from dictolearn.operators import ContractError, Dictionary
+from dictolearn.operators import ContractError, Dictionary, PatchSynthesis
 from conftest import cd_sparse_solve
 
 
@@ -106,6 +106,27 @@ def test_posterior_mode_matches_coordinate_descent(instance):
     lam = 2 * PARAMS.sigma ** 2 / PARAMS.b
     z_cd = cd_sparse_solve(dense_matrix(d), x, lam, iters=100000, tol=1e-16)
     assert f_value(x, z_star, d, PARAMS) - f_value(x, z_cd, d, PARAMS) < 1e-8
+
+
+def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
+    # FISTA applies S once at the start and twice per iteration (gradient
+    # and objective); each restart costs two more. On this overcomplete
+    # instance, restarting on every rise of rounding size restarted about
+    # half of the iterations.
+    d = Dictionary.random(16, 4, 5)
+    x = np.random.default_rng(7).standard_normal(16) * 0.5
+    params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=16, m=16)
+    calls = []
+    apply = PatchSynthesis.apply
+
+    def counted(self, z):
+        calls.append(z)
+        return apply(self, z)
+
+    monkeypatch.setattr(PatchSynthesis, "apply", counted)
+    iters, restart_allowance = 2000, 10
+    posterior_mode(x, d, params, fista_iters=iters)
+    assert len(calls) <= 2 * iters + 1 + 2 * restart_allowance
 
 
 def test_lambda_mapping_preserves_argmin(instance):

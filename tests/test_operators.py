@@ -8,6 +8,7 @@ from dictolearn.operators import (
     ConvSynthesis,
     Dictionary,
     ImageGrid,
+    PatchSynthesis,
     ZeroAtomError,
     adjoint_conv,
     adjoint_patch,
@@ -105,6 +106,15 @@ def test_conv_norm_sq_tight_against_power_iteration(shape):
     bound = ConvSynthesis(d, shape).norm_sq()
     est = estimate_lipschitz(d, shape, "convolutional", power_iters=100, safety=1.0)
     assert est <= bound <= 1.05 * est
+
+
+@pytest.mark.parametrize("m, k, shape", [(1, 3, (6, 6)), (6, 4, (8, 12)), (20, 3, (9, 9)),
+                                         (64, 8, (16, 8))])
+def test_patch_norm_sq_is_sigma_max_squared(m, k, shape):
+    d = Dictionary.random(m, k, 10 * m + k)
+    D = d.flat()
+    true = np.linalg.eigvalsh(D @ D.T).max()
+    assert PatchSynthesis(d, shape).norm_sq() == pytest.approx(true, rel=1e-12)
 
 
 def test_synthesize_patch_zero():

@@ -101,9 +101,12 @@ def test_reconstruct_dict_huge_lambda2_kills_coefficients(noisy_problem, diction
 def test_reconstruct_traces_monotone(noisy_problem, dictionary):
     _, y = noisy_problem
     cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=60, lowpass_cutoff=0.10, seed=0)
-    for solver in (reconstruct_dict, reconstruct_dict_patch):
-        _, trace = solver(y, dictionary, cfg, (N, N), SPACING)
-        obj = np.asarray(trace.objective)
+    traces = [solver(y, dictionary, cfg, (N, N), SPACING)[1].objective
+              for solver in (reconstruct_dict, reconstruct_dict_patch)]
+    huber_cfg = HuberConfig(lam=0.2, gamma=2e-4, iters=60)
+    traces.append(reconstruct_huber(y, huber_cfg, (N, N), SPACING, return_trace=True)[1])
+    for trace in traces:
+        obj = np.asarray(trace)
         assert np.all(np.diff(obj) <= 1e-8 * abs(obj[0]))
 
 

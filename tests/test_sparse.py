@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid
 from dictolearn.sparse import (
+    DivergenceError,
     SparseCodeConfig,
+    accelerated_descent,
     estimate_lipschitz,
     fista_sparse_code,
     soft_threshold,
@@ -144,6 +146,18 @@ def test_fista_trace_monotone(rng):
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
 
+@pytest.mark.parametrize("mode, shape", [("patch", (8, 12)), ("convolutional", (9, 9))])
+def test_fista_default_bound_is_closed_form(monkeypatch, rng, mode, shape):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("estimate_lipschitz called")
+
+    monkeypatch.setattr("dictolearn.sparse.estimate_lipschitz", forbidden)
+    d = Dictionary.random(5, 4, 31)
+    _, trace = fista_sparse_code(d, ImageGrid(rng.standard_normal(shape)),
+                                 SparseCodeConfig(lam=0.1, max_iters=30), mode)
+    assert np.all(np.isfinite(trace))
+
+
 def test_fista_fixed_point():
     d, x = tiny_patch_instance(13)
     D = dense_matrix(d)
@@ -189,8 +203,6 @@ def test_config_validation():
         SparseCodeConfig(lam=-1.0)
     with pytest.raises(ContractError):
         SparseCodeConfig(max_iters=0)
-    with pytest.raises(ContractError):
-        SparseCodeConfig(lipschitz_safety=0.9)
 
 
 def test_divergence_error_carries_iterate_dump():
@@ -204,3 +216,65 @@ def test_divergence_error_carries_iterate_dump():
                           lipschitz=1e-12)
     dump = err.value.dump
     assert {"iteration", "objective", "max_abs_z", "lipschitz"} <= set(dump)
+
+
+def quadratic_step(curvature, lipschitz):
+    """Gradient step on ``0.5 * sum(curvature * z**2)`` with bound ``lipschitz * scale``."""
+    def step(point, scale):
+        (z,) = point
+        z_new = z - curvature * z / (lipschitz * scale)
+        return (z_new,), (0.5 * float(np.sum(curvature * z_new * z_new)),)
+    return step
+
+
+def test_descent_restarts_momentum_on_extrapolated_rise():
+    curvature = np.array([1.0, 100.0])
+    start = np.array([1.0, 1.0])
+    f_start = 0.5 * float(np.sum(curvature * start ** 2))
+    run = accelerated_descent(quadratic_step(curvature, 100.0), (start,), f_start, 200)
+    obj = np.array([p[0] for p in run.parts])
+    assert run.restarts > 0
+    assert run.halvings == run.unresolved == 0
+    assert np.all(np.diff(obj) <= 1e-12 * f_start)
+
+
+@pytest.mark.parametrize("too_small, unresolved", [(3.0, 0), (5.0, 6)])
+def test_descent_halves_once_then_counts_kept_rises(too_small, unresolved):
+    # With a bound too_small times below the curvature a plain step
+    # rises. Doubling the bound repairs a factor below 4; past that every
+    # step rises even without momentum, and each kept rise is counted.
+    run = accelerated_descent(quadratic_step(1.0, 1.0 / too_small), (np.ones(3),), 1.5, 6)
+    obj = np.array([1.5] + [p[0] for p in run.parts])
+    assert run.halvings == 1
+    assert run.unresolved == unresolved == int(np.sum(np.diff(obj) > 0.0))
+
+
+def test_descent_ignores_rises_within_slack():
+    # Each objective sits 4e-12 above the last accepted one, inside the
+    # slack 1e-12 * |f_start| = 1e-11; over 20 iterations the rises add
+    # up to 8e-11, beyond it, so the reference is the last accepted value.
+    scales = []
+
+    def step(point, scale):
+        scales.append(scale)
+        return (0.5 * point[0],), (10.0 + 4e-12 * len(scales),)
+
+    run = accelerated_descent(step, (np.ones(3),), 10.0, 20)
+    assert scales == [1.0] * 20
+    assert run.restarts == run.halvings == run.unresolved == 0
+
+
+def test_descent_non_finite_objective_raises_with_dump():
+    calls = []
+
+    def step(point, scale):
+        calls.append(scale)
+        return (point[0] + 1.0,), (np.inf if len(calls) == 3 else -float(len(calls)),)
+
+    with pytest.raises(DivergenceError) as err:
+        accelerated_descent(step, (np.zeros(2),), 0.0, 10)
+    dump = err.value.dump
+    assert dump["iteration"] == 2
+    assert dump["objective"] == np.inf
+    assert dump["trace"] == [-1.0, -2.0]
+    assert len(dump["max_abs"]) == 1 and dump["max_abs"][0] > 2.0
