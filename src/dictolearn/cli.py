@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import zlib
@@ -66,7 +65,6 @@ def _write_manifest(out_dir: Path, command: str, args, inputs, outputs, params):
         "inputs": {str(p): _blob_hash(Path(p)) for p in inputs},
         "outputs": [str(out_dir / o) for o in outputs],
         "seed": args.seed,
-        "threads": args.threads,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "parameters": params,
     }
@@ -476,22 +474,12 @@ def cmd_atoms(args) -> int:
     return EXIT_OK
 
 
-def _setup_threads(threads: int):
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dictolearn",
                                      description="Dictionary learning for low-dose CT.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key=value configuration file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DICTOLEARN_THREADS", "1")))
     common.add_argument("--out", required=True, help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -590,7 +578,6 @@ def _add_geometry_flags(p):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_threads(args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

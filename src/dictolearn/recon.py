@@ -59,7 +59,8 @@ class ReconConfig:
     ``lambda1`` weights the synthesis coupling (1/sigma role),
     ``lambda2`` the coefficient sparsity (1/b role). The iteration count
     is part of the method: running to full convergence is intentionally
-    not attempted.
+    not attempted. ``seed`` no longer affects the solve: ``||A||^2``
+    comes from :meth:`Projector.norm_sq`, which always starts from seed 0.
     """
 
     lambda1: float = 50.0
@@ -231,7 +232,7 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
     coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
-    lx = _SAFETY * 2.0 * float(np.max(w)) * proj.norm_sq(seed=cfg.seed) + 2.0 * cfg.lambda1
+    lx = _SAFETY * 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * cfg.lambda1
 
     def objective_parts(x, ax, z, sz):
         d = ax - y_res

@@ -2,9 +2,9 @@
 
 The projector uses Joseph's linear-interpolation line integrals. Forward
 and back projection are built from one table of interpolation weights, so
-the pair is an exact numerical adjoint. For repeatedly applied desk-scale
-problems the weights are assembled once into a cached sparse matrix;
-larger one-shot problems stream angle by angle.
+the pair is an exact numerical adjoint. The weights form a sparse matrix
+built in blocks of angles; desk-scale problems keep it, larger ones
+rebuild each block whenever they apply it.
 
 The data chain follows the Beer-Lambert law: expected counts
 ``N0 * exp(-A(x))`` per ray, Poisson noise, then log-linearization back to
@@ -44,18 +44,24 @@ __all__ = [
 # X-ray attenuation of water at 70 keV, 1/mm.
 MU_WATER = 0.0192
 
-# Above this count the per-(geometry, grid) weight matrix is not cached.
+# Above this estimated nonzero count a projector keeps no weight matrix.
 _SPARSE_NNZ_BUDGET = 25_000_000
+# Estimated nonzeros per angle block, bounding the assembly temporaries. At
+# 2M the freed temporaries left glibc's mmap threshold under the 9.4 MB conv
+# FFT arrays, which then page-faulted afresh on every desk recon iteration.
+_BLOCK_NNZ = 3_000_000
 
 
 @dataclass(frozen=True)
 class AcquisitionGeometry:
-    """Ray sampling of the scanner: parallel-beam by default, fan-beam supported.
+    """Ray sampling of the scanner: parallel-beam by default, or fan-beam.
 
     Angles sample ``[0, angular_range)`` without the endpoint. Detector
     bins are centered on the axis with ``detector_spacing`` pitch. Fan
     geometry uses a flat detector; both radii are measured from the
-    rotation center and must exceed the image circumradius.
+    rotation center and must exceed the image circumradius. Fan-beam
+    covers projection and simulation only: :func:`fbp`, and so every
+    reconstruction and the training low-pass split, needs parallel-beam.
     """
 
     kind: str = "parallel"
@@ -184,7 +190,7 @@ def _ray_tables(geom: AcquisitionGeometry, grid_shape, pixel_spacing, angle_inde
 
 
 class Projector:
-    """Forward projector and exact adjoint for one geometry/grid pairing."""
+    """Joseph projector A and its exact adjoint, applied in CSR blocks of whole angles."""
 
     def __init__(self, geom: AcquisitionGeometry, grid_shape, pixel_spacing: float = 1.0):
         if pixel_spacing <= 0:
@@ -196,74 +202,70 @@ class Projector:
             half_diag = 0.5 * pixel_spacing * float(np.hypot(*self.grid_shape))
             if geom.source_radius <= half_diag or geom.detector_radius <= half_diag:
                 raise ContractError("fan radii must exceed the image circumradius")
-        nnz_estimate = 2 * geom.num_angles * geom.num_bins * max(self.grid_shape)
+        nnz_per_angle = 2 * geom.num_bins * max(self.grid_shape)
+        step, na = max(1, _BLOCK_NNZ // nnz_per_angle), geom.num_angles
+        self._spans = [(a0, min(a0 + step, na)) for a0 in range(0, na, step)]
         self._matrix = None
-        self._matrix_t = None
-        if nnz_estimate <= _SPARSE_NNZ_BUDGET:
-            self._matrix = self._assemble()
+        if nnz_per_angle * na <= _SPARSE_NNZ_BUDGET:
+            self._matrix = ssp.vstack([self._block(*span) for span in self._spans], format="csr")
             self._matrix_t = self._matrix.T.tocsr()
         self._norm_sq = None
 
-    def _assemble(self) -> ssp.csr_matrix:
+    def _block(self, a0: int, a1: int) -> ssp.csr_matrix:
+        """Rows of A for angles ``[a0, a1)``, numbered from 0."""
         rows, cols, data = [], [], []
         nb = self.geom.num_bins
-        for a in range(self.geom.num_angles):
+        for a in range(a0, a1):
             for bins, idx0, idx1, w0, w1 in _ray_tables(
                     self.geom, self.grid_shape, self.pixel_spacing, a):
-                ray = np.broadcast_to((a * nb + bins)[None, :], idx0.shape)
+                ray = np.broadcast_to(((a - a0) * nb + bins)[None, :], idx0.shape)
                 for idx, w in ((idx0, w0), (idx1, w1)):
                     keep = w != 0.0
                     rows.append(ray[keep])
                     cols.append(idx[keep])
                     data.append(w[keep])
-        n_rays = self.geom.num_angles * nb
-        n_pix = self.grid_shape[0] * self.grid_shape[1]
-        mat = ssp.coo_matrix(
+        return ssp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rays, n_pix),
-        )
-        return mat.tocsr()
+            shape=((a1 - a0) * nb, self.grid_shape[0] * self.grid_shape[1]),
+        ).tocsr()
+
+    def _blocks(self):
+        """Yield ``(a0, a1, block, transpose)`` over the angle blocks."""
+        if self._matrix is not None:
+            yield 0, self.geom.num_angles, self._matrix, self._matrix_t
+            return
+        for a0, a1 in self._spans:
+            block = self._block(a0, a1)
+            yield a0, a1, block, block.T
 
     def forward(self, image_values: np.ndarray) -> np.ndarray:
         image_values = np.asarray(image_values, dtype=np.float64)
         if image_values.shape != self.grid_shape:
             raise ContractError(f"image shape {image_values.shape} != {self.grid_shape}")
         flat = image_values.ravel()
-        if self._matrix is not None:
-            return (self._matrix @ flat).reshape(self.geom.shape)
-        out = np.zeros(self.geom.shape)
-        for a in range(self.geom.num_angles):
-            for bins, idx0, idx1, w0, w1 in _ray_tables(
-                    self.geom, self.grid_shape, self.pixel_spacing, a):
-                out[a, bins] = (flat[idx0] * w0 + flat[idx1] * w1).sum(axis=0)
+        out = np.empty(self.geom.shape)
+        for a0, a1, mat, _ in self._blocks():
+            out[a0:a1] = (mat @ flat).reshape(a1 - a0, -1)
         return out
 
     def adjoint(self, sino_values: np.ndarray) -> np.ndarray:
         sino_values = np.asarray(sino_values, dtype=np.float64)
         if sino_values.shape != self.geom.shape:
             raise ContractError(f"sinogram shape {sino_values.shape} != {self.geom.shape}")
-        if self._matrix_t is not None:
-            return (self._matrix_t @ sino_values.ravel()).reshape(self.grid_shape)
-        n_pix = self.grid_shape[0] * self.grid_shape[1]
-        acc = np.zeros(n_pix)
-        for a in range(self.geom.num_angles):
-            for bins, idx0, idx1, w0, w1 in _ray_tables(
-                    self.geom, self.grid_shape, self.pixel_spacing, a):
-                g = sino_values[a, bins][None, :]
-                acc += np.bincount(idx0.ravel(), (w0 * g).ravel(), minlength=n_pix)
-                acc += np.bincount(idx1.ravel(), (w1 * g).ravel(), minlength=n_pix)
+        acc = np.zeros(self.grid_shape[0] * self.grid_shape[1])
+        for a0, a1, _, mat_t in self._blocks():
+            acc += mat_t @ sino_values[a0:a1].ravel()
         return acc.reshape(self.grid_shape)
 
-    def norm_sq(self, iters: int = 50, seed: int = 0) -> float:
-        """Power-iteration estimate of ||A||^2 (largest eigenvalue of A^T A)."""
+    def norm_sq(self) -> float:
+        """||A||^2 (largest eigenvalue of A^T A): 50 power steps from seed 0, cached."""
         if self._norm_sq is None:
-            self._norm_sq = power_iteration_norm(
-                self.forward, self.adjoint, self.grid_shape, iters, seed)
+            self._norm_sq = power_iteration_norm(self.forward, self.adjoint, self.grid_shape, 50, 0)
         return self._norm_sq
 
     @property
     def matrix(self):
-        """Assembled sparse weight matrix, or None on the streaming path."""
+        """The kept CSR matrix A; None above ``_SPARSE_NNZ_BUDGET`` estimated nonzeros."""
         return self._matrix
 
 

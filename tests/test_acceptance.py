@@ -447,10 +447,10 @@ def pipeline(base: Path, data_dir: Path, seed: int):
     rec = base / "rec"
     ev = base / "eval"
     geom = ["--num-angles", "60", "--num-bins", "72", "--detector-spacing", "2.0"]
-    run_cli("simulate", "--out", sim, "--seed", seed, "--threads", 1,
+    run_cli("simulate", "--out", sim, "--seed", seed,
             "--phantom-size", 48, "--attenuation-scale", 0.05,
             "--pixel-spacing", "2.0", *geom)
-    run_cli("train", "--data", data_dir, "--out", tr, "--seed", seed, "--threads", 1,
+    run_cli("train", "--data", data_dir, "--out", tr, "--seed", seed,
             "--atom-count", 8, "--atom-side", 8, "--crop-size", 32,
             "--target-sparsity", 12, "--steps", 500, "--fista-iters", 15,
             "--validation-interval", 100, *geom)
@@ -458,10 +458,10 @@ def pipeline(base: Path, data_dir: Path, seed: int):
             "--dictionary", tr / "dictionary.dldict", "--method", "dict",
             "--grid-size", 48, "--pixel-spacing", "2.0",
             "--lambda1", 500, "--lambda2", 0.05, "--iters", 40,
-            "--out", rec, "--seed", seed, "--threads", 1, *geom)
+            "--out", rec, "--seed", seed, *geom)
     run_cli("evaluate", "--recon", rec / "recon.dlgrid",
             "--truth", sim / "phantom.dlgrid", "--out", ev,
-            "--seed", seed, "--threads", 1)
+            "--seed", seed)
     return [sim / "phantom.dlgrid", sim / "clean_sinogram.dlgrid",
             sim / "counts.dlgrid", sim / "sinogram.dlgrid",
             tr / "dictionary.dldict", tr / "train_log.csv",

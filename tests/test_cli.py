@@ -212,15 +212,15 @@ def test_missing_input_exits_with_io_code(tmp_path):
     assert code == cli.EXIT_IO
 
 
-def test_threads_env_fallback(monkeypatch, tmp_path):
-    monkeypatch.setenv("DICTOLEARN_THREADS", "3")
-    args = cli.build_parser().parse_args(["evaluate", "--recon", "a", "--truth", "b",
-                                          "--out", str(tmp_path)])
-    assert args.threads == 3
-    monkeypatch.delenv("DICTOLEARN_THREADS")
-    args = cli.build_parser().parse_args(["evaluate", "--recon", "a", "--truth", "b",
-                                          "--out", str(tmp_path), "--threads", "2"])
-    assert args.threads == 2
+def test_fan_geometry_simulates_but_fbp_exits_with_contract_code(tmp_path):
+    # Fan-beam covers projection and simulation only; fbp needs parallel rays.
+    fan = ["--geometry-kind", "fan", "--source-radius", 60, "--detector-radius", 60]
+    sim = tmp_path / "sim"
+    assert run("simulate", "--out", sim, "--phantom-size", 32, "--attenuation-scale", 0.05,
+               *GEOM_FLAGS, *fan) == 0
+    code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--method", "fbp",
+               "--grid-size", 32, "--out", tmp_path / "rec", *GEOM_FLAGS, *fan)
+    assert code == cli.EXIT_CONTRACT
 
 
 def test_sweep_default_grid_axes(tmp_path):

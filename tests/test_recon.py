@@ -28,6 +28,7 @@ from dictolearn.tomo import (
     linearize,
     simulate_counts,
 )
+from dictolearn import tomo
 from dictolearn.operators import make_synthesis
 from conftest import adjoint_rel_err
 
@@ -310,3 +311,18 @@ def test_recon_config_validation():
         ReconConfig(iters=0)
     with pytest.raises(ContractError):
         HuberConfig(gamma=0.0)
+
+
+def test_reconstruct_independent_of_norm_sq_call_order(monkeypatch):
+    # ||A||^2 is cached per projector, so it must not depend on who asks first.
+    geom = AcquisitionGeometry(num_angles=40, num_bins=48, detector_spacing=1.0)
+    ph = ImageGrid(shepp_logan(32, "modified").values * 0.04, 1.0)
+    y = linearize(simulate_counts(ph, geom, NoiseModel(50_000.0, seed=3)), 50_000.0, geom)
+    d = Dictionary.random(4, 4, 5)
+    cfg = ReconConfig(lambda1=50.0, lambda2=0.002, iters=10, seed=7)
+    monkeypatch.setattr(tomo, "_projector_cache", {})
+    cold, _ = reconstruct_dict(y, d, cfg, (32, 32), 1.0)
+    monkeypatch.setattr(tomo, "_projector_cache", {})
+    get_projector(geom, (32, 32), 1.0).norm_sq()
+    warm, _ = reconstruct_dict(y, d, cfg, (32, 32), 1.0)
+    assert np.array_equal(cold.values, warm.values)

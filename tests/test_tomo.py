@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from dictolearn import tomo
 from dictolearn.analytics import psnr, shepp_logan
 from dictolearn.operators import ContractError, ImageGrid
 from dictolearn.tomo import (
     MU_WATER,
     AcquisitionGeometry,
     NoiseModel,
+    Projector,
     Sinogram,
     attenuation_to_hounsfield,
     back_project,
@@ -47,16 +51,74 @@ def test_central_ray_chord_length():
     assert abs(sino.values[0, center] - expected) / expected < 0.01
 
 
-@pytest.mark.parametrize("geom", [
-    PAR,
-    AcquisitionGeometry(kind="fan", num_angles=20, num_bins=30, detector_spacing=1.5,
-                        angular_range=2 * np.pi, source_radius=40.0, detector_radius=40.0),
+FAN = AcquisitionGeometry(kind="fan", num_angles=20, num_bins=30, detector_spacing=1.5,
+                          angular_range=2 * np.pi, source_radius=40.0, detector_radius=40.0)
+
+
+def streamed_projector(monkeypatch, geom, grid_shape, block_angles):
+    """A projector that keeps no matrix and rebuilds blocks of ``block_angles`` angles."""
+    monkeypatch.setattr(tomo, "_SPARSE_NNZ_BUDGET", 0)
+    monkeypatch.setattr(tomo, "_BLOCK_NNZ", block_angles * 2 * geom.num_bins * max(grid_shape))
+    proj = Projector(geom, grid_shape, 1.0)
+    assert proj.matrix is None
+    return proj
+
+
+@pytest.mark.parametrize("geom, block_angles", [
+    pytest.param(PAR, None, id="geom0"),
+    pytest.param(FAN, None, id="geom1"),
+    pytest.param(FAN, 3, id="streamed"),
 ])
-def test_projector_adjoint_identity(geom, rng):
-    proj = get_projector(geom, (16, 16), 1.0)
+def test_projector_adjoint_identity(geom, block_angles, rng, monkeypatch):
+    if block_angles is None:
+        proj = get_projector(geom, (16, 16), 1.0)
+    else:
+        proj = streamed_projector(monkeypatch, geom, (16, 16), block_angles)
     x = rng.standard_normal((16, 16))
     s = rng.standard_normal(geom.shape)
     assert adjoint_rel_err(proj.forward, proj.adjoint, x, s) < 1e-6
+
+
+@pytest.mark.parametrize("geom, block_angles", [
+    pytest.param(PAR, 5, id="parallel"),
+    pytest.param(FAN, 3, id="fan"),
+])
+def test_streamed_blocks_match_kept_matrix(geom, block_angles, rng, monkeypatch):
+    kept = Projector(geom, (16, 16), 1.0)
+    streamed = streamed_projector(monkeypatch, geom, (16, 16), block_angles)
+    sizes = [a1 - a0 for a0, a1, _, _ in streamed._blocks()]
+    assert len(sizes) >= 4 and set(sizes[:-1]) == {block_angles} and sizes[-1] < block_angles
+    assert sum(sizes) == geom.num_angles
+    x = rng.standard_normal((16, 16))
+    s = rng.standard_normal(geom.shape)
+    assert np.array_equal(streamed.forward(x), kept.forward(x))
+    ref = kept.adjoint(s)
+    assert np.max(np.abs(streamed.adjoint(s) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert streamed.norm_sq() == pytest.approx(kept.norm_sq(), rel=1e-12)
+
+
+def test_kept_matrix_is_stacked_blocks(monkeypatch):
+    monkeypatch.setattr(tomo, "_BLOCK_NNZ", 5 * 2 * PAR.num_bins * 16)
+    proj = Projector(PAR, (16, 16), 1.0)
+    assert len(proj._spans) == 5
+    whole = proj._block(0, PAR.num_angles)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(proj.matrix, attr), getattr(whole, attr))
+
+
+def test_projector_build_memory_peak():
+    # Blocks bound the assembly temporaries: the build peaks near the
+    # size of what the projector keeps, the matrix and its transpose.
+    geom = AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8)
+    tracemalloc.start()
+    try:
+        proj = Projector(geom, (128, 128), 2.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for m in (proj.matrix, proj._matrix_t)
+               for a in (m.data, m.indices, m.indptr))
+    assert peak <= 1.25 * kept
 
 
 def test_back_project_zero():
