@@ -17,7 +17,6 @@ from .operators import (
 from .sparse import (
     DivergenceError,
     SparseCodeConfig,
-    estimate_lipschitz,
     fista_sparse_code,
     soft_threshold,
     sparse_objective,

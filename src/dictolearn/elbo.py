@@ -204,6 +204,14 @@ def elbo_lower_bound(x, dict_: Dictionary, params: ModelParams,
     )
 
 
+def _laplace_block(center: np.ndarray, scale: float, start: int, stop: int, seed) -> np.ndarray:
+    """Samples ``start:stop`` of one block of the Laplace stream, keyed by its block index."""
+    rng = np.random.Generator(np.random.Philox(key=(seed, start // _MC_BLOCK)))
+    u = rng.random((stop - start, center.size)) - 0.5
+    mag = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
+    return center + scale * (-np.sign(u) * np.log(mag))
+
+
 def sample_laplace(center: np.ndarray, scale: float, count: int, seed) -> np.ndarray:
     """Inverse-CDF Laplace samples from a counter-based generator.
 
@@ -214,10 +222,7 @@ def sample_laplace(center: np.ndarray, scale: float, count: int, seed) -> np.nda
     out = np.empty((count, center.size))
     for start in range(0, count, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, count)
-        rng = np.random.Generator(np.random.Philox(key=(seed, start // _MC_BLOCK)))
-        u = rng.random((stop - start, center.size)) - 0.5
-        mag = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
-        out[start:stop] = center + scale * (-np.sign(u) * np.log(mag))
+        out[start:stop] = _laplace_block(center, scale, start, stop, seed)
     return out
 
 
@@ -240,12 +245,7 @@ def elbo_monte_carlo(x, dict_: Dictionary, params: ModelParams, z_star: np.ndarr
     total = 0.0
     total_sq = 0.0
     for start in range(0, n_samples, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, n_samples)
-        block = stop - start
-        rng = np.random.Generator(np.random.Philox(key=(seed, start // _MC_BLOCK)))
-        u = rng.random((block, m)) - 0.5
-        mag = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
-        z = z_star[None, :] + bs * (-np.sign(u) * np.log(mag))
+        z = _laplace_block(z_star, bs, start, min(start + _MC_BLOCK, n_samples), seed)
         residual = z @ d.T - x[None, :]
         logp = const - np.sum(residual * residual, axis=1) / (2.0 * sigma ** 2) \
             - np.sum(np.abs(z), axis=1) / b

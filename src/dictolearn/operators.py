@@ -243,12 +243,17 @@ class ConvSynthesis:
         if residual.shape != self.grid_shape:
             raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
         h, w = self.grid_shape
+        rf = self._residual_spectrum(residual)
+        maps = sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
+        return CoefficientMaps(CONVOLUTIONAL, maps, self.grid_shape)
+
+    def _residual_spectrum(self, residual: np.ndarray) -> np.ndarray:
+        """rfft2 of the residual, zero-padded to the FFT grid at the atom anchor."""
+        h, w = self.grid_shape
         s = self._anchor
         padded = np.zeros(self._fshape)
         padded[s:s + h, s:s + w] = residual
-        rf = sfft.rfft2(padded)
-        maps = sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
-        return CoefficientMaps(CONVOLUTIONAL, maps, self.grid_shape)
+        return sfft.rfft2(padded)
 
     def norm_sq(self) -> float:
         """Upper bound on the largest eigenvalue of S^T S: ``max_f sum_i |D_i(f)|^2``.
@@ -265,11 +270,7 @@ class ConvSynthesis:
     def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
         """Gradient of ||S(z) - x||^2 in atom coordinates, residual = S(z) - x."""
         k = self.dict.atom_side
-        h, w = self.grid_shape
-        s = self._anchor
-        padded = np.zeros(self._fshape)
-        padded[s:s + h, s:s + w] = np.asarray(residual, dtype=np.float64)
-        rf = sfft.rfft2(padded)
+        rf = self._residual_spectrum(residual)
         zf = sfft.rfft2(z.maps, self._fshape)
         corr = sfft.irfft2(rf[None] * np.conj(zf), self._fshape)
         return 2.0 * corr[:, :k, :k]

@@ -10,8 +10,9 @@ gradient step in z, each with its own step size. The z step bounds are
 closed forms that need no safety factor: the spectral bound
 :meth:`ConvSynthesis.norm_sq` for the convolutional variant and the exact
 sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq` for the variant
-regularizing all overlapping patches. The x step uses a safety-scaled
-power-iteration estimate of ||A||^2. The overlapping-patch variant
+regularizing all overlapping patches. The x step uses the certified
+Collatz-Wielandt bound on ||A||^2 of :meth:`Projector.norm_sq`, again
+with no safety factor. The overlapping-patch variant
 normalizes its per-patch terms by the patch coverage, so its z = 0 path
 coincides with the convolutional one.
 
@@ -49,9 +50,6 @@ __all__ = [
     "image_gradient_adjoint",
 ]
 
-_SAFETY = 1.05
-
-
 @dataclass
 class ReconConfig:
     """Dictionary-reconstruction parameters.
@@ -59,8 +57,8 @@ class ReconConfig:
     ``lambda1`` weights the synthesis coupling (1/sigma role),
     ``lambda2`` the coefficient sparsity (1/b role). The iteration count
     is part of the method: running to full convergence is intentionally
-    not attempted. ``seed`` no longer affects the solve: ``||A||^2``
-    comes from :meth:`Projector.norm_sq`, which always starts from seed 0.
+    not attempted. ``seed`` no longer affects the solve: the ``||A||^2``
+    bound of :meth:`Projector.norm_sq` is deterministic, with nothing random.
     """
 
     lambda1: float = 50.0
@@ -232,7 +230,7 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
     coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
-    lx = _SAFETY * 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * cfg.lambda1
+    lx = 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * cfg.lambda1
 
     def objective_parts(x, ax, z, sz):
         d = ax - y_res
@@ -344,7 +342,7 @@ def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
     w = likelihood_weights(y)
     # ||grad||^2 <= 8 for forward differences; the Huber slope is
     # (1/gamma)-Lipschitz.
-    lip = _SAFETY * (2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * cfg.lam / cfg.gamma)
+    lip = 2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * cfg.lam / cfg.gamma
 
     def objective(x, ax):
         d = ax - y.values

@@ -5,7 +5,7 @@ mode with step size ``1 / (2 L)``, L an upper bound on the largest
 eigenvalue of S^T S. Callers that know L pass it in; otherwise it is the
 operator's closed-form ``norm_sq()``: sigma_max(D)^2 in patch mode
 (exact), the spectral bound in convolutional mode. Neither needs a safety
-factor; :func:`estimate_lipschitz` is their power-iteration reference.
+factor, and no power iteration runs here.
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -32,8 +32,6 @@ __all__ = [
     "SparseCodeConfig",
     "DivergenceError",
     "soft_threshold",
-    "power_iteration_norm",
-    "estimate_lipschitz",
     "sparse_objective",
     "Descent",
     "accelerated_descent",
@@ -86,51 +84,6 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
         return u - np.minimum(out, tau)
     np.minimum(out, tau, out=out)
     return np.subtract(u, out, out=out)
-
-
-def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) -> float:
-    """Largest eigenvalue of ``apply_t(apply(.))`` by power iteration.
-
-    ``shape`` is the domain shape; the starting vector is seeded so runs
-    are reproducible. Returns 0.0 for the zero operator.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
-    lam = 0.0
-    for _ in range(iters):
-        w = apply_t(apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        lam = float(np.vdot(v, w).real)
-        v = w / nw
-    return max(lam, 0.0)
-
-
-def estimate_lipschitz(dict_: Dictionary, grid_shape, mode: str,
-                       power_iters: int = 30, safety: float = 1.05, seed: int = 0) -> float:
-    """Safety-scaled power-iteration estimate of the largest eigenvalue of S^T S.
-
-    The estimate approaches the eigenvalue from below. Solvers use the
-    closed-form ``norm_sq()`` of the synthesis operators instead; this is
-    their independent reference.
-    """
-    if power_iters < 1:
-        raise ContractError("power_iters must be >= 1")
-    op = make_synthesis(dict_, mode, grid_shape)
-    z0 = op.zeros()
-
-    def fwd(v):
-        return op.apply(CoefficientMaps(z0.mode, v, z0.grid_shape))
-
-    def bwd(r):
-        return op.adjoint(r).maps
-
-    return safety * power_iteration_norm(fwd, bwd, z0.maps.shape, power_iters, seed)
 
 
 def sparse_objective(dict_: Dictionary, z: CoefficientMaps, x: ImageGrid, lam: float) -> float:
@@ -217,7 +170,9 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     lipschitz : float, optional
         Upper bound on the largest eigenvalue of S^T S. Defaults to the
         operator's closed-form ``norm_sq()``: exact in patch mode, the
-        spectral bound in convolutional mode.
+        spectral bound in convolutional mode. Unit-norm atoms keep both
+        at 1 or more; a bound that is not positive and finite raises
+        :class:`ContractError`.
 
     Returns
     -------
@@ -227,14 +182,10 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     op = make_synthesis(dict_, mode, x.shape)
     if lipschitz is None:
         lipschitz = op.norm_sq()
+    if not (lipschitz > 0.0 and math.isfinite(lipschitz)):
+        raise ContractError(f"lipschitz must be positive and finite, got {lipschitz!r}")
     target = x.values
-
     z = op.zeros().maps
-    if lipschitz == 0.0:
-        # Zero operator: the residual term is constant and z = 0 is optimal.
-        zc = CoefficientMaps(mode, z, x.shape)
-        return zc, np.full(cfg.max_iters, sparse_objective(dict_, zc, x, cfg.lam))
-
     step_size = 1.0 / (2.0 * lipschitz)
 
     def residual(zm):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dictolearn.operators import CoefficientMaps, make_synthesis
+
 
 def dense_conv_reference(atoms: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """Plain-loop "same"-size true convolution with zero padding.
@@ -64,6 +66,36 @@ def adjoint_rel_err(apply_fwd, apply_adj, domain_vec, range_vec) -> float:
     rhs = float(np.vdot(domain_vec, aty))
     denom = np.linalg.norm(ax) * np.linalg.norm(range_vec)
     return abs(lhs - rhs) / max(denom, 1e-300)
+
+
+def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) -> float:
+    """Largest eigenvalue of ``apply_t(apply(.))`` by seeded power iteration.
+
+    Approaches the eigenvalue from below; the reference that the
+    library's closed-form and certified bounds are checked against.
+    """
+    v = np.random.default_rng(seed).standard_normal(shape)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = apply_t(apply(v))
+        lam = float(np.vdot(v, w).real)
+        v = w / np.linalg.norm(w)
+    return max(lam, 0.0)
+
+
+def estimate_lipschitz(dict_, grid_shape, mode: str, power_iters: int = 30, seed: int = 0) -> float:
+    """Power-iteration estimate of the largest eigenvalue of S^T S."""
+    op = make_synthesis(dict_, mode, grid_shape)
+    z0 = op.zeros()
+
+    def fwd(v):
+        return op.apply(CoefficientMaps(z0.mode, v, z0.grid_shape))
+
+    def bwd(r):
+        return op.adjoint(r).maps
+
+    return power_iteration_norm(fwd, bwd, z0.maps.shape, power_iters, seed)
 
 
 @pytest.fixture

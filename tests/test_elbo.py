@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dictolearn import elbo
 from dictolearn.elbo import (
     ElboReport,
     ModelParams,
@@ -193,6 +194,18 @@ def test_monte_carlo_deterministic_per_seed(instance):
     c = elbo_monte_carlo(x, d, PARAMS, z_star, 50_000, seed=12)
     assert a == b
     assert a != c
+
+
+def test_monte_carlo_is_mean_joint_density_over_laplace_samples(instance, monkeypatch):
+    # A small block size makes 2,500 samples span three blocks, the last one short.
+    monkeypatch.setattr(elbo, "_MC_BLOCK", 1000)
+    d, x = instance
+    z_star = posterior_mode(x, d, PARAMS)
+    est, _ = elbo_monte_carlo(x, d, PARAMS, z_star, 2500, seed=4)
+    samples = sample_laplace(z_star, PARAMS.b_star, 2500, seed=4)
+    mean_logp = np.mean([joint_log_density(x, z, d, PARAMS) for z in samples])
+    entropy = PARAMS.m * np.log(2.0 * PARAMS.b_star) + PARAMS.m
+    assert abs(est - (mean_logp + entropy)) <= 1e-12 * max(1.0, abs(est))
 
 
 def test_folded_laplace_expectation_matches_sampling(rng):

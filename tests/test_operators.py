@@ -17,8 +17,7 @@ from dictolearn.operators import (
     synthesize_conv,
     synthesize_patch,
 )
-from dictolearn.sparse import estimate_lipschitz
-from conftest import dense_conv_reference, adjoint_rel_err
+from conftest import dense_conv_reference, adjoint_rel_err, estimate_lipschitz
 
 
 def impulse_dictionary(k=3):
@@ -104,7 +103,7 @@ def test_conv_norm_sq_bounds_dense_eigenvalue(m, k, shape):
 def test_conv_norm_sq_tight_against_power_iteration(shape):
     d = Dictionary.random(64, 8, 5)
     bound = ConvSynthesis(d, shape).norm_sq()
-    est = estimate_lipschitz(d, shape, "convolutional", power_iters=100, safety=1.0)
+    est = estimate_lipschitz(d, shape, "convolutional", power_iters=100)
     assert est <= bound <= 1.05 * est
 
 

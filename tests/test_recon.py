@@ -226,12 +226,12 @@ def test_stationary_point_is_fixed():
     np.testing.assert_allclose(synth, z_bar[0], atol=1e-15)
 
     # One x gradient step (no momentum on the first iteration).
-    lx = 1.05 * 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * lam1
+    lx = 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * lam1
     x_next = x_bar - gx_check / lx
     assert np.max(np.abs(x_next - x_bar)) < 1e-10
 
     # One z proximal step at the updated x.
-    lz = 1.05 * 2.0 * lam1
+    lz = 2.0 * lam1
     gz = 2.0 * lam1 * (z_bar - x_next[None])
     z_next = soft_threshold(z_bar - gz / lz, lam2 / lz)
     assert np.max(np.abs(z_next - z_bar)) < 1e-10
@@ -289,7 +289,7 @@ def test_huber_large_gamma_equals_quadratic_solver(noisy_problem):
     from dictolearn.tomo import fbp
     proj = get_projector(GEOM, (N, N), SPACING)
     w = likelihood_weights(y)
-    lip = 1.05 * (2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * lam / gamma)
+    lip = 2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * lam / gamma
     x = fbp(y, (N, N), SPACING, window="hann", cutoff=0.75).values
     xp, t = x, 1.0
     for _ in range(30):

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid
+from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid, make_synthesis
 from dictolearn.sparse import (
     DivergenceError,
     SparseCodeConfig,
     accelerated_descent,
-    estimate_lipschitz,
     fista_sparse_code,
     soft_threshold,
     sparse_objective,
 )
 from dictolearn.elbo import dense_matrix
-from conftest import cd_sparse_solve
+from conftest import cd_sparse_solve, estimate_lipschitz
 
 
 def tiny_patch_instance(seed, m=6, k=4):
@@ -79,14 +78,6 @@ def test_soft_threshold_scalars_lists_and_dtypes():
     np.testing.assert_array_equal(singles, np.array([1.0, 0.0], dtype=np.float32))
 
 
-def test_estimate_lipschitz_impulse_atom():
-    atom = np.zeros((1, 3, 3))
-    atom[0, 1, 1] = 1.0
-    est = estimate_lipschitz(Dictionary(atom), (8, 8), "convolutional",
-                             power_iters=50, safety=1.05)
-    assert abs(est - 1.05) < 1e-8
-
-
 def test_estimate_lipschitz_matches_dense_eigensolver(rng):
     d = Dictionary.random(2, 3, 41)
     # Assemble S^T S for the 8x8 convolutional operator explicitly.
@@ -100,16 +91,8 @@ def test_estimate_lipschitz_matches_dense_eigensolver(rng):
                 cols.append(synthesize_conv(d, CoefficientMaps("convolutional", e, (8, 8))).values.ravel())
     S = np.stack(cols, axis=1)
     true = np.linalg.eigvalsh(S.T @ S).max()
-    est = estimate_lipschitz(d, (8, 8), "convolutional", power_iters=100, safety=1.0)
+    est = estimate_lipschitz(d, (8, 8), "convolutional", power_iters=100)
     assert abs(est - true) / true < 0.01
-
-
-def test_estimate_lipschitz_zero_dictionary():
-    atom = np.zeros((1, 3, 3))
-    atom[0, 0, 0] = 1.0
-    d = Dictionary(atom)
-    d.atoms = np.zeros((1, 3, 3))  # bypass unit-norm validation deliberately
-    assert estimate_lipschitz(d, (6, 6), "convolutional") == 0.0
 
 
 def test_fista_zero_signal():
@@ -147,15 +130,23 @@ def test_fista_trace_monotone(rng):
 
 
 @pytest.mark.parametrize("mode, shape", [("patch", (8, 12)), ("convolutional", (9, 9))])
-def test_fista_default_bound_is_closed_form(monkeypatch, rng, mode, shape):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("estimate_lipschitz called")
-
-    monkeypatch.setattr("dictolearn.sparse.estimate_lipschitz", forbidden)
+def test_fista_default_bound_is_closed_form(rng, mode, shape):
     d = Dictionary.random(5, 4, 31)
-    _, trace = fista_sparse_code(d, ImageGrid(rng.standard_normal(shape)),
-                                 SparseCodeConfig(lam=0.1, max_iters=30), mode)
-    assert np.all(np.isfinite(trace))
+    x = ImageGrid(rng.standard_normal(shape))
+    cfg = SparseCodeConfig(lam=0.1, max_iters=30)
+    bound = make_synthesis(d, mode, shape).norm_sq()
+    z_default, trace_default = fista_sparse_code(d, x, cfg, mode)
+    z_given, trace_given = fista_sparse_code(d, x, cfg, mode, lipschitz=bound)
+    assert np.array_equal(trace_default, trace_given)
+    assert np.array_equal(z_default.maps, z_given.maps)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_fista_rejects_bound_that_is_not_positive_and_finite(bad):
+    d, x = tiny_patch_instance(2)
+    with pytest.raises(ContractError):
+        fista_sparse_code(d, ImageGrid(x.reshape(4, 4)), SparseCodeConfig(), "patch",
+                          lipschitz=bad)
 
 
 def test_fista_fixed_point():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from dictolearn import tomo
 from dictolearn.analytics import psnr, shepp_logan
@@ -95,6 +96,39 @@ def test_streamed_blocks_match_kept_matrix(geom, block_angles, rng, monkeypatch)
     ref = kept.adjoint(s)
     assert np.max(np.abs(streamed.adjoint(s) - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert streamed.norm_sq() == pytest.approx(kept.norm_sq(), rel=1e-12)
+
+
+@pytest.mark.parametrize("geom, n, zero_columns", [
+    pytest.param(PAR, 16, False, id="parallel"),
+    pytest.param(FAN, 16, False, id="fan"),
+    pytest.param(AcquisitionGeometry(num_angles=1, num_bins=23), 16, False, id="single-angle"),
+    pytest.param(AcquisitionGeometry(num_angles=2, num_bins=5), 12, True, id="small-detector"),
+    pytest.param(AcquisitionGeometry(num_angles=4, num_bins=5, detector_spacing=0.5), 12, True,
+                 id="small-detector-fine"),
+    pytest.param(AcquisitionGeometry(num_angles=3, num_bins=2, detector_spacing=100.0), 12, True,
+                 id="no-ray-hits"),
+])
+def test_norm_sq_is_certified_and_tight(geom, n, zero_columns):
+    proj = Projector(geom, (n, n), 1.0)
+    A = proj.matrix.toarray()
+    assert A.min() >= 0.0
+    assert bool(np.any(~A.any(axis=0))) == zero_columns
+    true = np.linalg.eigvalsh(A.T @ A).max()
+    assert true * (1.0 - 1e-12) <= proj.norm_sq() <= 1.01 * true
+
+
+def test_norm_sq_desk_steps_and_lanczos(monkeypatch):
+    geom = AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8)
+    proj = Projector(geom, (128, 128), 2.8)
+    calls = []
+    forward = proj.forward
+    monkeypatch.setattr(proj, "forward", lambda x: calls.append(1) or forward(x))
+    bound = proj.norm_sq()
+    assert len(calls) <= 10
+    A = proj.matrix
+    gram = LinearOperator((A.shape[1],) * 2, matvec=lambda v: A.T @ (A @ v), dtype=np.float64)
+    lanczos = eigsh(gram, k=1, which="LA", tol=1e-10, return_eigenvectors=False)[0]
+    assert lanczos * (1.0 - 1e-9) <= bound <= 1.01 * lanczos
 
 
 def test_kept_matrix_is_stacked_blocks(monkeypatch):
