@@ -81,6 +81,9 @@ class Options:
         self.defaults = defaults
         self.file = fileio.read_config(args.config) if args.config else {}
         self.args = args
+        unknown = sorted(set(self.file) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {args.command!r}: {', '.join(unknown)}")
 
     def get(self, key: str, cast=float):
         flag = getattr(self.args, key, None)

@@ -6,15 +6,18 @@ The dictionary methods split the image into a fixed low-frequency part
     min_{x, z}  L(A(x), y) + lambda1 * ||x - S(z)||^2 + lambda2 * ||z||_1
 
 by alternating accelerated steps: a gradient step in x and a proximal
-gradient step in z, each with its own step size. The z step bounds are
-closed forms that need no safety factor: the spectral bound
-:meth:`ConvSynthesis.norm_sq` for the convolutional variant and the exact
-sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq` for the variant
-regularizing all overlapping patches. The x step uses the certified
-Collatz-Wielandt bound on ||A||^2 of :meth:`Projector.norm_sq`, again
-with no safety factor. The overlapping-patch variant
-normalizes its per-patch terms by the patch coverage, so its z = 0 path
-coincides with the convolutional one.
+gradient step in z, each with its own step size. The z step is
+:func:`dictolearn.sparse.z_step`, the one that FISTA sparse coding takes.
+The convolutional variant couples through
+:class:`dictolearn.sparse.SynthesisCoupling`; the variant regularizing
+all overlapping patches through ``_OverlapPatchCoupling`` here, which has
+the same interface. The z step bounds are closed forms that need no
+safety factor: the spectral bound :meth:`ConvSynthesis.norm_sq` and the
+exact sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The x step uses
+the certified Collatz-Wielandt bound on ||A||^2 of
+:meth:`Projector.norm_sq`, again with no safety factor. The
+overlapping-patch variant normalizes its per-patch terms by the patch
+coverage, so its z = 0 path coincides with the convolutional one.
 
 Both methods and the Huber baseline run :func:`accelerated_descent`, so
 they share one restart policy. An objective rise beyond rounding restarts
@@ -33,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import (CoefficientMaps, ContractError, Dictionary, ImageGrid, PatchSynthesis,
                         make_synthesis)
-from .sparse import accelerated_descent, soft_threshold
+from .sparse import SynthesisCoupling, accelerated_descent, z_parts, z_step
 from .tomo import Sinogram, fbp, get_projector, likelihood_weights
 
 __all__ = [
@@ -133,39 +136,6 @@ def recon_objective(x: ImageGrid, z: CoefficientMaps, y: Sinogram, dict_: Dictio
                  + lambda2 * np.sum(np.abs(z.maps)))
 
 
-class _ConvCoupling:
-    """lambda1 ||x - S(z)||^2 + lambda2 ||z||_1 with the convolutional synthesis operator.
-
-    A coupling gives the z step everything it needs: the step bound
-    ``lz``, the l1 weight, the zero start, the synthesis, the z-gradient
-    and the value of the coupling term, and the channel-first layout of
-    its coefficients.
-    """
-
-    def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
-        self.op = make_synthesis(dict_, "convolutional", grid_shape)
-        self.lambda1 = lambda1
-        self.l1_weight = lambda2
-        self.grid_shape = tuple(grid_shape)
-        self.lz = 2.0 * lambda1 * self.op.norm_sq()
-
-    def z_zero(self):
-        return self.op.zeros().maps
-
-    def synth(self, z):
-        return self.op.apply(CoefficientMaps("convolutional", z, self.grid_shape))
-
-    def grad_z(self, x, z, sz):
-        return 2.0 * self.lambda1 * self.op.adjoint(sz - x).maps
-
-    def value(self, x, z, sz):
-        r = x - sz
-        return self.lambda1 * float(np.sum(r * r))
-
-    def channel_first(self, z):
-        return z
-
-
 class _OverlapPatchCoupling:
     """Per-patch coupling over all overlapping k-by-k patches.
 
@@ -219,8 +189,7 @@ class _OverlapPatchCoupling:
         return np.moveaxis(z, 2, 0)
 
 
-def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
-                       grid_shape, pixel_spacing, coupling_cls,
+def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing, coupling,
                        return_coefficients: bool = False):
     proj = get_projector(y.geometry, grid_shape, pixel_spacing)
     w = likelihood_weights(y)
@@ -229,13 +198,11 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     y_res = y.values - proj.forward(x_lf)
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
-    coupling = coupling_cls(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
     lx = 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * cfg.lambda1
 
     def objective_parts(x, ax, z, sz):
         d = ax - y_res
-        return (float(np.sum(w * d * d)), coupling.value(x, z, sz),
-                coupling.l1_weight * float(np.sum(np.abs(z))))
+        return (float(np.sum(w * d * d)),) + z_parts(coupling, x, z, sz)
 
     # The state carries A(x) and S(z) beside the iterates (x, z), so each
     # step costs one forward and one adjoint of A and of S.
@@ -244,9 +211,7 @@ def _accelerated_recon(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
         gx = 2.0 * proj.adjoint(w * (axp - y_res)) + 2.0 * cfg.lambda1 * (xp - szp)
         x_new = xp - gx / (scale * lx)
         ax_new = proj.forward(x_new)
-        lz = scale * coupling.lz
-        z_new = soft_threshold(zp - coupling.grad_z(x_new, zp, szp) / lz, coupling.l1_weight / lz)
-        new = (x_new, ax_new, z_new, coupling.synth(z_new))
+        new = (x_new, ax_new) + z_step(coupling, x_new, zp, szp, scale)
         return new, objective_parts(*new)
 
     z = coupling.z_zero()
@@ -272,16 +237,16 @@ def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     component plus the optimized high-frequency part; with
     ``return_coefficients`` also the final channel-first coefficients.
     """
-    return _accelerated_recon(y, dict_, cfg, grid_shape, pixel_spacing, _ConvCoupling,
-                              return_coefficients)
+    coupling = SynthesisCoupling(dict_, "convolutional", grid_shape, cfg.lambda1, cfg.lambda2)
+    return _accelerated_recon(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
 
 
 def reconstruct_dict_patch(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
                            grid_shape, pixel_spacing: float = 1.0,
                            return_coefficients: bool = False):
     """Reconstruct with the overlapping-patch regularizer variant."""
-    return _accelerated_recon(y, dict_, cfg, grid_shape, pixel_spacing, _OverlapPatchCoupling,
-                              return_coefficients)
+    coupling = _OverlapPatchCoupling(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
+    return _accelerated_recon(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
 
 
 def image_gradient(x: np.ndarray):

@@ -1,11 +1,11 @@
-"""L1-regularized sparse coding and the shared accelerated proximal-gradient loop.
+"""L1-regularized sparse coding, its z-step, and the shared accelerated proximal-gradient loop.
 
-Solves ``min_z ||S(z) - x||^2 + lambda * ||z||_1`` for either synthesis
-mode with step size ``1 / (2 L)``, L an upper bound on the largest
-eigenvalue of S^T S. Callers that know L pass it in; otherwise it is the
-operator's closed-form ``norm_sq()``: sigma_max(D)^2 in patch mode
-(exact), the spectral bound in convolutional mode. Neither needs a safety
-factor, and no power iteration runs here.
+:class:`SynthesisCoupling` is ``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``
+for either synthesis mode, with the closed-form step bound ``2 lambda1
+norm_sq()``: sigma_max(D)^2 in patch mode (exact), the spectral bound in
+convolutional mode; no safety factor and no power iteration. Its
+:func:`z_step` is the one proximal z-step of FISTA sparse coding
+(lambda1 = 1) and of both dictionary reconstructions in ``recon``.
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -35,6 +35,9 @@ __all__ = [
     "sparse_objective",
     "Descent",
     "accelerated_descent",
+    "SynthesisCoupling",
+    "z_step",
+    "z_parts",
     "fista_sparse_code",
 ]
 
@@ -43,8 +46,8 @@ __all__ = [
 class SparseCodeConfig:
     """Knobs for one sparse-coding solve.
 
-    ``seed`` no longer affects the solve: the default step bound is the
-    synthesis operator's closed-form ``norm_sq()``, with nothing random.
+    ``seed`` no longer affects the solve: the step bound is the synthesis
+    operator's closed-form ``norm_sq()``, with nothing random.
     """
 
     lam: float = 0.1
@@ -157,53 +160,79 @@ def accelerated_descent(step, start, f_start: float, iters: int) -> Descent:
     return run
 
 
-def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
-                      lipschitz: float | None = None):
+class SynthesisCoupling:
+    """``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``, S from :func:`make_synthesis`.
+
+    A coupling gives :func:`z_step` everything it needs: the step bound
+    ``lz``, the l1 weight, the zero start, the synthesis, the z-gradient
+    and the value of the coupling term, and the channel-first layout of
+    its coefficients.
+    """
+
+    def __init__(self, dict_: Dictionary, mode: str, grid_shape, lambda1, lambda2):
+        self.op = make_synthesis(dict_, mode, grid_shape)
+        self.lambda1 = lambda1
+        self.l1_weight = lambda2
+        self.lz = 2.0 * lambda1 * self.op.norm_sq()
+
+    def z_zero(self):
+        return self.op.zeros().maps
+
+    def synth(self, z):
+        return self.op.apply(CoefficientMaps(self.op.mode, z, self.op.grid_shape))
+
+    def grad_z(self, x, z, sz):
+        return 2.0 * self.lambda1 * self.op.adjoint(sz - x).maps
+
+    def value(self, x, z, sz):
+        r = x - sz
+        return self.lambda1 * float(np.sum(r * r))
+
+    def channel_first(self, z):
+        return z if self.op.mode == "convolutional" else np.moveaxis(z, 2, 0)
+
+
+def z_step(coupling, x, z, sz, scale: float):
+    """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``: ``(z_new, S z_new)``.
+
+    z_new = soft_threshold(z - grad_z / lz, l1_weight / lz), lz = scale * coupling.lz.
+    """
+    lz = scale * coupling.lz
+    z_new = soft_threshold(z - coupling.grad_z(x, z, sz) / lz, coupling.l1_weight / lz)
+    return z_new, coupling.synth(z_new)
+
+
+def z_parts(coupling, x, z, sz):
+    """The coupling and l1 terms of the objective at ``(x, z, sz)``."""
+    return coupling.value(x, z, sz), coupling.l1_weight * float(np.sum(np.abs(z)))
+
+
+def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
     Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent` on
-    the state ``(z,)``; with a valid bound the objective trace does not
-    rise beyond rounding.
-
-    Parameters
-    ----------
-    lipschitz : float, optional
-        Upper bound on the largest eigenvalue of S^T S. Defaults to the
-        operator's closed-form ``norm_sq()``: exact in patch mode, the
-        spectral bound in convolutional mode. Unit-norm atoms keep both
-        at 1 or more; a bound that is not positive and finite raises
-        :class:`ContractError`.
+    the state ``(z, S z)``, each one :func:`z_step` of a
+    :class:`SynthesisCoupling` with lambda1 = 1 and lambda2 = ``cfg.lam``:
+    one apply and one adjoint of S. The objective trace does not rise
+    beyond rounding.
 
     Returns
     -------
     (CoefficientMaps, ndarray)
         The final iterate and the objective value after each iteration.
     """
-    op = make_synthesis(dict_, mode, x.shape)
-    if lipschitz is None:
-        lipschitz = op.norm_sq()
-    if not (lipschitz > 0.0 and math.isfinite(lipschitz)):
-        raise ContractError(f"lipschitz must be positive and finite, got {lipschitz!r}")
-    target = x.values
-    z = op.zeros().maps
-    step_size = 1.0 / (2.0 * lipschitz)
-
-    def residual(zm):
-        return op.apply(CoefficientMaps(mode, zm, x.shape)) - target
-
-    def objective(zm):
-        r = residual(zm)
-        return float(np.sum(r * r) + cfg.lam * np.sum(np.abs(zm)))
+    coupling = SynthesisCoupling(dict_, mode, x.shape, 1.0, cfg.lam)
 
     def step(point, scale):
-        (y,) = point
-        h = step_size / scale
-        z_new = soft_threshold(y - h * (2.0 * op.adjoint(residual(y)).maps), cfg.lam * h)
-        return (z_new,), (objective(z_new),)
+        new = z_step(coupling, x.values, *point, scale)
+        return new, z_parts(coupling, x.values, *new)
 
+    z = coupling.z_zero()
+    start = (z, coupling.synth(z))
     try:
-        run = accelerated_descent(step, (z,), objective(z), cfg.max_iters)
+        run = accelerated_descent(step, start, sum(z_parts(coupling, x.values, *start)),
+                                  cfg.max_iters)
     except DivergenceError as err:
-        err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=lipschitz)
+        err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=coupling.lz / 2.0)
         raise
-    return CoefficientMaps(mode, run.state[0], x.shape), np.array([p[0] for p in run.parts])
+    return CoefficientMaps(mode, run.state[0], x.shape), np.array([sum(p) for p in run.parts])

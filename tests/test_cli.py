@@ -176,6 +176,18 @@ def test_flag_overrides_config(tmp_path):
     assert values.shape == (32, 32)
 
 
+def test_unknown_config_key_exits_with_config_code(tmp_path, capsys):
+    sim = simulate(tmp_path)
+    cfg = tmp_path / "recon.cfg"
+    cfg.write_text("lambda2=0.05\nlamda1=1000\n")
+    out = tmp_path / "rec"
+    code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--method", "fbp",
+               "--config", cfg, "--grid-size", 32, "--out", out, *GEOM_FLAGS)
+    assert code == cli.EXIT_CONFIG
+    assert "lamda1" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_verify_elbo_report_and_determinism(tmp_path):
     from dictolearn.fileio import write_dictionary
     dict_path = tmp_path / "d.dldict"

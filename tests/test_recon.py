@@ -6,7 +6,6 @@ from dictolearn.operators import CoefficientMaps, ContractError, ConvSynthesis, 
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
-    _ConvCoupling,
     _accelerated_recon,
     huber_loss_and_gradient,
     huber_value,
@@ -17,7 +16,7 @@ from dictolearn.recon import (
     reconstruct_dict_patch,
     reconstruct_huber,
 )
-from dictolearn.sparse import soft_threshold
+from dictolearn.sparse import SynthesisCoupling, soft_threshold
 from dictolearn.tomo import (
     AcquisitionGeometry,
     NoiseModel,
@@ -152,13 +151,14 @@ def test_unresolved_rises_are_counted(noisy_problem, dictionary):
     # halving, so rises survive both retries; each kept rise is counted.
     _, y = noisy_problem
 
-    class TooSmallStepBound(_ConvCoupling):
+    class TooSmallStepBound(SynthesisCoupling):
         def __init__(self, *args):
             super().__init__(*args)
             self.lz *= 0.2
 
     cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=12, lowpass_cutoff=0.10, seed=0)
-    _, trace = _accelerated_recon(y, dictionary, cfg, (N, N), SPACING, TooSmallStepBound)
+    coupling = TooSmallStepBound(dictionary, "convolutional", (N, N), cfg.lambda1, cfg.lambda2)
+    _, trace = _accelerated_recon(y, cfg, (N, N), SPACING, coupling)
     obj = np.asarray(trace.objective)
     assert np.all(np.isfinite(obj))
     slack = 1e-12 * max(1.0, abs(obj[0]))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid, make_synthesis
+from dictolearn.operators import (CoefficientMaps, ContractError, ConvSynthesis, Dictionary,
+                                  ImageGrid, PatchSynthesis)
 from dictolearn.sparse import (
     DivergenceError,
     SparseCodeConfig,
@@ -129,24 +130,25 @@ def test_fista_trace_monotone(rng):
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
 
-@pytest.mark.parametrize("mode, shape", [("patch", (8, 12)), ("convolutional", (9, 9))])
-def test_fista_default_bound_is_closed_form(rng, mode, shape):
-    d = Dictionary.random(5, 4, 31)
-    x = ImageGrid(rng.standard_normal(shape))
-    cfg = SparseCodeConfig(lam=0.1, max_iters=30)
-    bound = make_synthesis(d, mode, shape).norm_sq()
-    z_default, trace_default = fista_sparse_code(d, x, cfg, mode)
-    z_given, trace_given = fista_sparse_code(d, x, cfg, mode, lipschitz=bound)
-    assert np.array_equal(trace_default, trace_given)
-    assert np.array_equal(z_default.maps, z_given.maps)
+def test_fista_synthesis_call_count(rng, monkeypatch):
+    # S(z) rides in the descent state: one synthesis per iteration plus
+    # the initial one, and one adjoint per iteration.
+    calls = {"apply": 0, "adjoint": 0}
 
+    def counted(name):
+        method = getattr(ConvSynthesis, name)
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_fista_rejects_bound_that_is_not_positive_and_finite(bad):
-    d, x = tiny_patch_instance(2)
-    with pytest.raises(ContractError):
-        fista_sparse_code(d, ImageGrid(x.reshape(4, 4)), SparseCodeConfig(), "patch",
-                          lipschitz=bad)
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+        return wrapper
+
+    monkeypatch.setattr(ConvSynthesis, "apply", counted("apply"))
+    monkeypatch.setattr(ConvSynthesis, "adjoint", counted("adjoint"))
+    d = Dictionary.random(4, 3, 43)
+    x = ImageGrid(rng.standard_normal((9, 9)))
+    fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=120), "convolutional")
+    assert calls == {"apply": 121, "adjoint": 120}
 
 
 def test_fista_fixed_point():
@@ -196,17 +198,17 @@ def test_config_validation():
         SparseCodeConfig(max_iters=0)
 
 
-def test_divergence_error_carries_iterate_dump():
-    from dictolearn.sparse import DivergenceError
+def test_divergence_error_carries_iterate_dump(monkeypatch):
     d, x = tiny_patch_instance(29)
-    # A bogus tiny curvature estimate makes the step size explode; the
+    # A bogus tiny curvature bound makes the step size explode; the
     # overflow on the way to inf is the scenario under test.
+    monkeypatch.setattr(PatchSynthesis, "norm_sq", lambda self: 1e-12)
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
         fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                          SparseCodeConfig(lam=0.1, max_iters=200), "patch",
-                          lipschitz=1e-12)
+                          SparseCodeConfig(lam=0.1, max_iters=200), "patch")
     dump = err.value.dump
     assert {"iteration", "objective", "max_abs_z", "lipschitz"} <= set(dump)
+    assert dump["lipschitz"] == 1e-12
 
 
 def quadratic_step(curvature, lipschitz):
