@@ -67,11 +67,9 @@ def main():
     results = {}
     results["fbp (hann 0.75)"] = fbp(y, (n, n), h, window="hann", cutoff=0.75)
     results["huber"] = reconstruct_huber(y, HuberConfig(lam=0.2, gamma=2e-4, iters=70), (n, n), h)
-    conv_cfg = ReconConfig(lambda1=1000.0, lambda2=0.1, iters=args.iters,
-                           lowpass_cutoff=0.10, seed=args.seed)
+    conv_cfg = ReconConfig(lambda1=1000.0, lambda2=0.1, iters=args.iters, lowpass_cutoff=0.10)
     results["dict (conv)"], _ = reconstruct_dict(y, dictionary, conv_cfg, (n, n), h)
-    patch_cfg = ReconConfig(lambda1=400.0, lambda2=0.075, iters=args.iters,
-                            lowpass_cutoff=0.10, seed=args.seed)
+    patch_cfg = ReconConfig(lambda1=400.0, lambda2=0.075, iters=args.iters, lowpass_cutoff=0.10)
     results["dict (patch)"], _ = reconstruct_dict_patch(y, dictionary, patch_cfg, (n, n), h)
 
     print(f"\n{'method':<16} {'PSNR (dB)':>10} {'SSIM':>8}")

@@ -103,26 +103,20 @@ class Options:
 
 
 _GEOMETRY_DEFAULTS = {
-    "geometry_kind": "parallel",
     "num_angles": 180,
     "num_bins": 192,
     "detector_spacing": 1.0,
     "angular_range": math.pi,
-    "source_radius": 0.0,
-    "detector_radius": 0.0,
 }
 
 
 def _geometry(opt: Options, num_angles=None, num_bins=None, detector_spacing=None):
     return tomo.AcquisitionGeometry(
-        kind=opt.get("geometry_kind", str),
         num_angles=num_angles if num_angles is not None else opt.get("num_angles", int),
         num_bins=num_bins if num_bins is not None else opt.get("num_bins", int),
         detector_spacing=(detector_spacing if detector_spacing is not None
                           else opt.get("detector_spacing", float)),
         angular_range=opt.get("angular_range", float),
-        source_radius=opt.get("source_radius", float),
-        detector_radius=opt.get("detector_radius", float),
     )
 
 
@@ -280,7 +274,6 @@ def cmd_reconstruct(args) -> int:
             lambda2=opt.get("lambda2", float),
             iters=opt.get("iters", int),
             lowpass_cutoff=opt.get("lowpass_cutoff", float),
-            seed=_substream(args.seed, "recon"),
         )
         solver = recon.reconstruct_dict if method == "dict" else recon.reconstruct_dict_patch
         result = solver(y, dictionary, cfg, (n, n), spacing,
@@ -328,6 +321,7 @@ def _metrics(recon_img: ImageGrid, truth: ImageGrid, data_range=None):
 
 
 def cmd_evaluate(args) -> int:
+    Options(args, {})
     out = Path(args.out)
     _write_manifest(out, "evaluate", args, [args.recon, args.truth], ["metrics.csv"], {})
     recon_img = fileio.load_image(args.recon)
@@ -378,8 +372,7 @@ def cmd_sweep(args) -> int:
         for lam2 in lam2s:
             cfg = recon.ReconConfig(lambda1=lam1, lambda2=lam2,
                                     iters=opt.get("iters", int),
-                                    lowpass_cutoff=opt.get("lowpass_cutoff", float),
-                                    seed=_substream(args.seed, "recon"))
+                                    lowpass_cutoff=opt.get("lowpass_cutoff", float))
             image, _ = recon.reconstruct_dict(y, dictionary, cfg, (n, n), spacing)
             report = _metrics(image, truth)
             rows.append((lam1, lam2, report.psnr, report.ssim))
@@ -392,6 +385,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_elbo(args) -> int:
+    Options(args, {})
     out = Path(args.out)
     dictionary = fileio.read_dictionary(args.dictionary)
     k = dictionary.atom_side
@@ -448,6 +442,7 @@ def cmd_verify_elbo(args) -> int:
 
 
 def cmd_atoms(args) -> int:
+    Options(args, {})
     out = Path(args.out)
     dictionary = fileio.read_dictionary(args.dictionary)
     m = dictionary.atom_count
@@ -569,14 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_geometry_flags(p):
-    p.add_argument("--geometry-kind", dest="geometry_kind", default=None,
-                   choices=["parallel", "fan"])
     p.add_argument("--num-angles", dest="num_angles", type=int, default=None)
     p.add_argument("--num-bins", dest="num_bins", type=int, default=None)
     p.add_argument("--detector-spacing", dest="detector_spacing", type=float, default=None)
     p.add_argument("--angular-range", dest="angular_range", type=float, default=None)
-    p.add_argument("--source-radius", dest="source_radius", type=float, default=None)
-    p.add_argument("--detector-radius", dest="detector_radius", type=float, default=None)
 
 
 def main(argv=None) -> int:

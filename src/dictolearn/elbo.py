@@ -159,7 +159,7 @@ def posterior_mode(x, dict_: Dictionary, params: ModelParams,
     x = _check_dims(x, dict_, params)
     k = dict_.atom_side
     lam = 2.0 * params.sigma ** 2 / params.b
-    cfg = SparseCodeConfig(lam=lam, max_iters=fista_iters, seed=0)
+    cfg = SparseCodeConfig(lam=lam, max_iters=fista_iters)
     z, _ = fista_sparse_code(dict_, ImageGrid(x.reshape(k, k)), cfg, "patch")
     return z.maps.ravel()
 

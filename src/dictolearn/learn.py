@@ -248,7 +248,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     t_val = 0
 
     def code(dict_, values, iters):
-        sc = SparseCodeConfig(lam=lam, max_iters=iters, seed=0)
+        sc = SparseCodeConfig(lam=lam, max_iters=iters)
         return fista_sparse_code(dict_, ImageGrid(values), sc, "patch")
 
     for step in range(1, cfg.steps + 1):

@@ -53,33 +53,23 @@ _BLOCK_NNZ = 3_000_000
 
 @dataclass(frozen=True)
 class AcquisitionGeometry:
-    """Ray sampling of the scanner: parallel-beam by default, or fan-beam.
+    """Parallel-beam ray sampling of the scanner.
 
     Angles sample ``[0, angular_range)`` without the endpoint. Detector
-    bins are centered on the axis with ``detector_spacing`` pitch. Fan
-    geometry uses a flat detector; both radii are measured from the
-    rotation center and must exceed the image circumradius. Fan-beam
-    covers projection and simulation only: :func:`fbp`, and so every
-    reconstruction and the training low-pass split, needs parallel-beam.
+    bins are centered on the axis with ``detector_spacing`` pitch, and
+    every ray of an angle runs in the same direction.
     """
 
-    kind: str = "parallel"
     num_angles: int = 180
     num_bins: int = 192
     detector_spacing: float = 1.0
     angular_range: float = np.pi
-    source_radius: float = 0.0
-    detector_radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("parallel", "fan"):
-            raise ContractError(f"unknown geometry kind {self.kind!r}")
         if self.num_angles < 1 or self.num_bins < 1:
             raise ContractError("angle and bin counts must be positive")
         if not (self.detector_spacing > 0 and self.angular_range > 0):
             raise ContractError("spacings and angular range must be positive")
-        if self.kind == "fan" and not (self.source_radius > 0 and self.detector_radius > 0):
-            raise ContractError("fan geometry needs positive source and detector radii")
 
     @property
     def angles(self) -> np.ndarray:
@@ -125,10 +115,12 @@ class NoiseModel:
 
 
 def _ray_tables(geom: AcquisitionGeometry, grid_shape, pixel_spacing, angle_index):
-    """Joseph interpolation tables for one angle.
+    """Joseph interpolation tables ``(idx0, idx1, w0, w1)`` for one angle.
 
-    Yields groups ``(bins, idx0, idx1, w0, w1)`` with arrays shaped
-    (slices, len(bins)); indices are flat image indices, weights include
+    The rays of an angle share the direction u = (-sin, cos) and start at
+    t * (cos, sin) for detector offset t. They march over rows when
+    ``|cos| >= |sin|`` and over columns otherwise. Arrays are shaped
+    (slices, num_bins); indices are flat image indices, and weights include
     the per-slab ray length and are zeroed outside the grid.
     """
     h = pixel_spacing
@@ -138,54 +130,29 @@ def _ray_tables(geom: AcquisitionGeometry, grid_shape, pixel_spacing, angle_inde
     t = (np.arange(nb) - (nb - 1) / 2.0) * geom.detector_spacing
     theta = geom.angles[angle_index]
     c, s = np.cos(theta), np.sin(theta)
+    ox, oy = t * c, t * s
 
-    if geom.kind == "parallel":
-        # Shared direction u = (-sin, cos); origin at t * (cos, sin).
-        origins = np.stack([t * c, t * s])
-        dirs = np.stack([np.full(nb, -s), np.full(nb, c)])
+    if np.abs(c) >= np.abs(s):
+        r = np.arange(height)
+        tau = (((cy - r) * h)[:, None] - oy[None, :]) / c
+        coord = (ox[None, :] - tau * s) / h + cx
+        base = r[:, None] * width
+        limit, stride, dl = width, 1, h / np.abs(c)
     else:
-        src = np.array([s * geom.source_radius, -c * geom.source_radius])
-        det = np.stack([-s * geom.detector_radius + t * c,
-                        c * geom.detector_radius + t * s])
-        d = det - src[:, None]
-        d /= np.linalg.norm(d, axis=0, keepdims=True)
-        origins = np.repeat(src[:, None], nb, axis=1)
-        dirs = d
-
-    row_major = np.abs(dirs[1]) >= np.abs(dirs[0])
-    for march_rows in (True, False):
-        bins = np.nonzero(row_major == march_rows)[0]
-        if bins.size == 0:
-            continue
-        ox, oy = origins[0, bins], origins[1, bins]
-        ux, uy = dirs[0, bins], dirs[1, bins]
-        if march_rows:
-            r = np.arange(height)
-            y = (cy - r) * h
-            tau = (y[:, None] - oy[None, :]) / uy[None, :]
-            coord = (ox[None, :] + tau * ux[None, :]) / h + cx
-            base = r[:, None] * width
-            limit = width
-            stride = 1
-            dl = h / np.abs(uy)
-        else:
-            col = np.arange(width)
-            x = (col - cx) * h
-            tau = (x[:, None] - ox[None, :]) / ux[None, :]
-            coord = cy - (oy[None, :] + tau * uy[None, :]) / h
-            base = col[:, None]
-            limit = height
-            stride = width
-            dl = h / np.abs(ux)
-        i0 = np.floor(coord).astype(np.int64)
-        frac = coord - i0
-        ok0 = (i0 >= 0) & (i0 < limit)
-        ok1 = (i0 + 1 >= 0) & (i0 + 1 < limit)
-        idx0 = base + stride * np.clip(i0, 0, limit - 1)
-        idx1 = base + stride * np.clip(i0 + 1, 0, limit - 1)
-        w0 = np.where(ok0, (1.0 - frac) * dl[None, :], 0.0)
-        w1 = np.where(ok1, frac * dl[None, :], 0.0)
-        yield bins, idx0, idx1, w0, w1
+        col = np.arange(width)
+        tau = (((col - cx) * h)[:, None] - ox[None, :]) / -s
+        coord = cy - (oy[None, :] + tau * c) / h
+        base = col[:, None]
+        limit, stride, dl = height, width, h / np.abs(s)
+    i0 = np.floor(coord).astype(np.int64)
+    frac = coord - i0
+    ok0 = (i0 >= 0) & (i0 < limit)
+    ok1 = (i0 + 1 >= 0) & (i0 + 1 < limit)
+    idx0 = base + stride * np.clip(i0, 0, limit - 1)
+    idx1 = base + stride * np.clip(i0 + 1, 0, limit - 1)
+    w0 = np.where(ok0, (1.0 - frac) * dl, 0.0)
+    w1 = np.where(ok1, frac * dl, 0.0)
+    return idx0, idx1, w0, w1
 
 
 class Projector:
@@ -197,10 +164,6 @@ class Projector:
         self.geom = geom
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
         self.pixel_spacing = float(pixel_spacing)
-        if geom.kind == "fan":
-            half_diag = 0.5 * pixel_spacing * float(np.hypot(*self.grid_shape))
-            if geom.source_radius <= half_diag or geom.detector_radius <= half_diag:
-                raise ContractError("fan radii must exceed the image circumradius")
         nnz_per_angle = 2 * geom.num_bins * max(self.grid_shape)
         step, na = max(1, _BLOCK_NNZ // nnz_per_angle), geom.num_angles
         self._spans = [(a0, min(a0 + step, na)) for a0 in range(0, na, step)]
@@ -215,14 +178,13 @@ class Projector:
         rows, cols, data = [], [], []
         nb = self.geom.num_bins
         for a in range(a0, a1):
-            for bins, idx0, idx1, w0, w1 in _ray_tables(
-                    self.geom, self.grid_shape, self.pixel_spacing, a):
-                ray = np.broadcast_to(((a - a0) * nb + bins)[None, :], idx0.shape)
-                for idx, w in ((idx0, w0), (idx1, w1)):
-                    keep = w != 0.0
-                    rows.append(ray[keep])
-                    cols.append(idx[keep])
-                    data.append(w[keep])
+            idx0, idx1, w0, w1 = _ray_tables(self.geom, self.grid_shape, self.pixel_spacing, a)
+            ray = np.broadcast_to((a - a0) * nb + np.arange(nb), idx0.shape)
+            for idx, w in ((idx0, w0), (idx1, w1)):
+                keep = w != 0.0
+                rows.append(ray[keep])
+                cols.append(idx[keep])
+                data.append(w[keep])
         return ssp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=((a1 - a0) * nb, self.grid_shape[0] * self.grid_shape[1]),
@@ -355,8 +317,6 @@ def fbp(sino: Sinogram, grid_shape, pixel_spacing: float = 1.0,
     if not 0.0 < cutoff <= 1.0:
         raise ContractError("cutoff must lie in (0, 1]")
     geom = sino.geometry
-    if geom.kind != "parallel":
-        raise ContractError("fbp is implemented for parallel geometry")
     nfft = 1 << int(np.ceil(np.log2(max(2 * geom.num_bins, 16))))
     response = _filter_response(geom, nfft, window, cutoff)
     spectra = np.fft.rfft(sino.values, n=nfft, axis=1)

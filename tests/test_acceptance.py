@@ -76,10 +76,8 @@ def test_c01_adjoint_suite():
                 detector_spacing=float(rng.uniform(0.5, 2.0)))
         else:
             geom = AcquisitionGeometry(
-                kind="fan", num_angles=int(rng.integers(5, 24)),
-                num_bins=int(rng.integers(12, 40)),
-                detector_spacing=float(rng.uniform(0.5, 2.0)),
-                angular_range=2 * np.pi, source_radius=60.0, detector_radius=60.0)
+                num_angles=int(rng.integers(5, 24)), num_bins=int(rng.integers(12, 40)),
+                detector_spacing=float(rng.uniform(0.5, 2.0)), angular_range=2 * np.pi)
         side = int(rng.integers(8, 24))
         proj = get_projector(geom, (side, side), float(rng.uniform(0.5, 1.5)))
         x = rng.standard_normal((side, side))

@@ -224,15 +224,36 @@ def test_missing_input_exits_with_io_code(tmp_path):
     assert code == cli.EXIT_IO
 
 
-def test_fan_geometry_simulates_but_fbp_exits_with_contract_code(tmp_path):
-    # Fan-beam covers projection and simulation only; fbp needs parallel rays.
-    fan = ["--geometry-kind", "fan", "--source-radius", 60, "--detector-radius", 60]
-    sim = tmp_path / "sim"
-    assert run("simulate", "--out", sim, "--phantom-size", 32, "--attenuation-scale", 0.05,
-               *GEOM_FLAGS, *fan) == 0
-    code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--method", "fbp",
-               "--grid-size", 32, "--out", tmp_path / "rec", *GEOM_FLAGS, *fan)
-    assert code == cli.EXIT_CONTRACT
+def test_removed_geometry_key_exits_with_config_code(tmp_path, capsys):
+    # Parallel-beam is the only geometry; its former kind key is unknown now.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("geometry_kind=fan\n")
+    out = tmp_path / "sim"
+    code = run("simulate", "--config", cfg, "--out", out, "--phantom-size", 32, *GEOM_FLAGS)
+    assert code == cli.EXIT_CONFIG
+    assert "geometry_kind" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify-elbo", "atoms"])
+def test_config_free_commands_reject_config_keys(command, tmp_path, capsys):
+    from dictolearn.fileio import write_dictionary
+    image = tmp_path / "img.dlgrid"
+    write_grid(image, np.zeros((16, 16)), 1.0)
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, Dictionary.random(4, 3, 1))
+    argv = {
+        "evaluate": ["--recon", image, "--truth", image],
+        "verify-elbo": ["--dictionary", dict_path, "--sigma", 0.3, "--b", 0.4,
+                        "--b-star", 0.05, "--count", 1],
+        "atoms": ["--dictionary", dict_path],
+    }[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data_rnage=5\n")
+    out = tmp_path / "out"
+    assert run(command, *argv, "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+    assert "data_rnage" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_sweep_default_grid_axes(tmp_path):

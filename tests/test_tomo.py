@@ -52,8 +52,8 @@ def test_central_ray_chord_length():
     assert abs(sino.values[0, center] - expected) / expected < 0.01
 
 
-FAN = AcquisitionGeometry(kind="fan", num_angles=20, num_bins=30, detector_spacing=1.5,
-                          angular_range=2 * np.pi, source_radius=40.0, detector_radius=40.0)
+FULL = AcquisitionGeometry(num_angles=20, num_bins=30, detector_spacing=1.5,
+                           angular_range=2 * np.pi)
 
 
 def streamed_projector(monkeypatch, geom, grid_shape, block_angles):
@@ -67,8 +67,8 @@ def streamed_projector(monkeypatch, geom, grid_shape, block_angles):
 
 @pytest.mark.parametrize("geom, block_angles", [
     pytest.param(PAR, None, id="geom0"),
-    pytest.param(FAN, None, id="geom1"),
-    pytest.param(FAN, 3, id="streamed"),
+    pytest.param(FULL, None, id="geom1"),
+    pytest.param(FULL, 3, id="streamed"),
 ])
 def test_projector_adjoint_identity(geom, block_angles, rng, monkeypatch):
     if block_angles is None:
@@ -82,7 +82,7 @@ def test_projector_adjoint_identity(geom, block_angles, rng, monkeypatch):
 
 @pytest.mark.parametrize("geom, block_angles", [
     pytest.param(PAR, 5, id="parallel"),
-    pytest.param(FAN, 3, id="fan"),
+    pytest.param(FULL, 3, id="full-rotation"),
 ])
 def test_streamed_blocks_match_kept_matrix(geom, block_angles, rng, monkeypatch):
     kept = Projector(geom, (16, 16), 1.0)
@@ -100,7 +100,7 @@ def test_streamed_blocks_match_kept_matrix(geom, block_angles, rng, monkeypatch)
 
 @pytest.mark.parametrize("geom, n, zero_columns", [
     pytest.param(PAR, 16, False, id="parallel"),
-    pytest.param(FAN, 16, False, id="fan"),
+    pytest.param(FULL, 16, False, id="full-rotation"),
     pytest.param(AcquisitionGeometry(num_angles=1, num_bins=23), 16, False, id="single-angle"),
     pytest.param(AcquisitionGeometry(num_angles=2, num_bins=5), 12, True, id="small-detector"),
     pytest.param(AcquisitionGeometry(num_angles=4, num_bins=5, detector_spacing=0.5), 12, True,
@@ -339,13 +339,6 @@ def test_hounsfield_rescale_round_trip(rng):
     np.testing.assert_allclose(attenuation_to_hounsfield(att), hu, atol=1e-12 * 2000)
     assert MU_WATER == 0.0192
     np.testing.assert_allclose(hounsfield_to_attenuation(np.array([1000.0])), [0.0192])
-
-
-def test_fan_radius_validation():
-    geom = AcquisitionGeometry(kind="fan", num_angles=4, num_bins=8, detector_spacing=1.0,
-                               source_radius=5.0, detector_radius=5.0)
-    with pytest.raises(ContractError):
-        get_projector(geom, (64, 64), 1.0)
 
 
 def test_sinogram_shape_validation():
