@@ -110,14 +110,16 @@ _GEOMETRY_DEFAULTS = {
 }
 
 
-def _geometry(opt: Options, num_angles=None, num_bins=None, detector_spacing=None):
+def _geometry(opt: Options):
     return tomo.AcquisitionGeometry(
-        num_angles=num_angles if num_angles is not None else opt.get("num_angles", int),
-        num_bins=num_bins if num_bins is not None else opt.get("num_bins", int),
-        detector_spacing=(detector_spacing if detector_spacing is not None
-                          else opt.get("detector_spacing", float)),
-        angular_range=opt.get("angular_range", float),
-    )
+        **{key: opt.get(key, type(default)) for key, default in _GEOMETRY_DEFAULTS.items()})
+
+
+def _read_sinogram(opt: Options, path) -> tomo.Sinogram:
+    """The file sets the angle count, bin count and detector spacing."""
+    values, det_spacing = fileio.read_grid(path)
+    return tomo.Sinogram(values, tomo.AcquisitionGeometry(
+        *values.shape, det_spacing, angular_range=opt.get("angular_range", float)))
 
 
 def cmd_simulate(args) -> int:
@@ -230,7 +232,7 @@ def _stack_coefficients(maps: np.ndarray) -> np.ndarray:
 
 def cmd_reconstruct(args) -> int:
     opt = Options(args, {
-        **_GEOMETRY_DEFAULTS,
+        "angular_range": math.pi,
         "grid_size": 128,
         "pixel_spacing": 1.0,
         "lambda1": 50.0,
@@ -244,10 +246,7 @@ def cmd_reconstruct(args) -> int:
         "fbp_cutoff": 0.75,
     })
     out = Path(args.out)
-    sino_values, det_spacing = fileio.read_grid(args.sinogram)
-    geom = _geometry(opt, num_angles=sino_values.shape[0], num_bins=sino_values.shape[1],
-                     detector_spacing=det_spacing)
-    y = tomo.Sinogram(sino_values, geom)
+    y = _read_sinogram(opt, args.sinogram)
     n = opt.get("grid_size", int)
     spacing = opt.get("pixel_spacing", float)
     method = args.method
@@ -343,7 +342,7 @@ def _parse_grid(text: str):
 
 def cmd_sweep(args) -> int:
     opt = Options(args, {
-        **_GEOMETRY_DEFAULTS,
+        "angular_range": math.pi,
         "grid_size": 128,
         "pixel_spacing": 1.0,
         "iters": 300,
@@ -355,10 +354,7 @@ def cmd_sweep(args) -> int:
     lam1s = _parse_grid(opt.get("lambda1_grid", str))
     lam2s = _parse_grid(opt.get("lambda2_grid", str))
 
-    sino_values, det_spacing = fileio.read_grid(args.sinogram)
-    geom = _geometry(opt, num_angles=sino_values.shape[0], num_bins=sino_values.shape[1],
-                     detector_spacing=det_spacing)
-    y = tomo.Sinogram(sino_values, geom)
+    y = _read_sinogram(opt, args.sinogram)
     truth = fileio.load_image(args.truth)
     dictionary = fileio.read_dictionary(args.dictionary)
     n = opt.get("grid_size", int)
@@ -523,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fbp-window", dest="fbp_window", default=None, choices=["ramp", "hann"])
     p.add_argument("--fbp-cutoff", dest="fbp_cutoff", type=float, default=None)
     p.add_argument("--save-coefficients", action="store_true")
-    _add_geometry_flags(p)
+    p.add_argument("--angular-range", dest="angular_range", type=float, default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("evaluate", parents=[common], help="PSNR/SSIM of a reconstruction")
@@ -542,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixel-spacing", dest="pixel_spacing", type=float, default=None)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--lowpass-cutoff", dest="lowpass_cutoff", type=float, default=None)
-    _add_geometry_flags(p)
+    p.add_argument("--angular-range", dest="angular_range", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify-elbo", parents=[common], help="evidence-bound checks")

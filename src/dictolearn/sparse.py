@@ -4,8 +4,10 @@
 for either synthesis mode, with the closed-form step bound ``2 lambda1
 norm_sq()``: sigma_max(D)^2 in patch mode (exact), the spectral bound in
 convolutional mode; no safety factor and no power iteration. Its
-:func:`z_step` is the one proximal z-step of FISTA sparse coding
-(lambda1 = 1) and of both dictionary reconstructions in ``recon``.
+:func:`z_step` is the one proximal z-step of both dictionary
+reconstructions in ``recon`` and of FISTA sparse coding, which in patch
+mode runs it on a coupling in Gram form: one (tiles x m)(m x m) product
+per iteration and no apply or adjoint of S.
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -192,6 +194,33 @@ class SynthesisCoupling:
         return z if self.op.mode == "convolutional" else np.moveaxis(z, 2, 0)
 
 
+class _GramCoupling:
+    """Patch-mode coupling for one fixed x: ``z G`` in place of ``S z``, G = D D^T.
+
+    With c = S^T x, the gradient is 2 (zG - c) and the value <z, zG - 2c> + ||x||^2.
+    """
+
+    def __init__(self, dict_: Dictionary, x: ImageGrid, lam: float):
+        op = make_synthesis(dict_, "patch", x.shape)
+        self.gram = dict_.flat() @ dict_.flat().T
+        self.c = op.adjoint(x.values).maps
+        self.x_sq = float(np.vdot(x.values, x.values))
+        self.l1_weight = lam
+        self.lz = 2.0 * op.norm_sq()
+
+    def z_zero(self):
+        return np.zeros_like(self.c)
+
+    def synth(self, z):
+        return z @ self.gram
+
+    def grad_z(self, x, z, zg):
+        return 2.0 * (zg - self.c)
+
+    def value(self, x, z, zg):
+        return float(np.vdot(z, zg - 2.0 * self.c)) + self.x_sq
+
+
 def z_step(coupling, x, z, sz, scale: float):
     """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``: ``(z_new, S z_new)``.
 
@@ -210,18 +239,22 @@ def z_parts(coupling, x, z, sz):
 def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
-    Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent` on
-    the state ``(z, S z)``, each one :func:`z_step` of a
-    :class:`SynthesisCoupling` with lambda1 = 1 and lambda2 = ``cfg.lam``:
-    one apply and one adjoint of S. The objective trace does not rise
-    beyond rounding.
+    Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent`,
+    each one :func:`z_step` with l1 weight ``cfg.lam``. Patch mode carries
+    ``(z, z D D^T)`` in Gram form: one adjoint of S per solve, none per
+    iteration. Convolutional mode carries ``(z, S z)`` through a
+    :class:`SynthesisCoupling`: one apply and one adjoint per iteration.
+    The objective trace does not rise beyond rounding.
 
     Returns
     -------
     (CoefficientMaps, ndarray)
         The final iterate and the objective value after each iteration.
     """
-    coupling = SynthesisCoupling(dict_, mode, x.shape, 1.0, cfg.lam)
+    if mode == "patch":
+        coupling = _GramCoupling(dict_, x, cfg.lam)
+    else:
+        coupling = SynthesisCoupling(dict_, mode, x.shape, 1.0, cfg.lam)
 
     def step(point, scale):
         new = z_step(coupling, x.values, *point, scale)

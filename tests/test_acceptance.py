@@ -456,7 +456,7 @@ def pipeline(base: Path, data_dir: Path, seed: int):
             "--dictionary", tr / "dictionary.dldict", "--method", "dict",
             "--grid-size", 48, "--pixel-spacing", "2.0",
             "--lambda1", 500, "--lambda2", 0.05, "--iters", 40,
-            "--out", rec, "--seed", seed, *geom)
+            "--out", rec, "--seed", seed)
     run_cli("evaluate", "--recon", rec / "recon.dlgrid",
             "--truth", sim / "phantom.dlgrid", "--out", ev,
             "--seed", seed)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dictolearn import cli
-from dictolearn.fileio import read_dictionary, read_grid, write_grid
+from dictolearn.fileio import read_dictionary, read_grid, write_dictionary, write_grid
 from dictolearn.operators import Dictionary
 
 
@@ -55,7 +55,7 @@ def test_reconstruct_fbp_ignores_dictionary(tmp_path):
     sim = simulate(tmp_path)
     out = tmp_path / "rec"
     code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
-               "--method", "fbp", "--grid-size", 32, "--out", out, *GEOM_FLAGS)
+               "--method", "fbp", "--grid-size", 32, "--out", out)
     assert code == 0
     values, _ = read_grid(out / "recon.dlgrid")
     assert values.shape == (32, 32)
@@ -65,7 +65,7 @@ def test_reconstruct_fbp_ignores_dictionary(tmp_path):
 def test_reconstruct_dict_requires_dictionary(tmp_path):
     sim = simulate(tmp_path)
     code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
-               "--method", "dict", "--out", tmp_path / "r", *GEOM_FLAGS)
+               "--method", "dict", "--out", tmp_path / "r")
     assert code == cli.EXIT_CONFIG
 
 
@@ -78,7 +78,7 @@ def test_reconstruct_dict_trace_monotone(tmp_path):
     code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
                "--dictionary", dict_path, "--method", "dict",
                "--grid-size", 32, "--lambda1", 100, "--lambda2", 0.05,
-               "--iters", 25, "--out", out, "--save-coefficients", *GEOM_FLAGS)
+               "--iters", 25, "--out", out, "--save-coefficients")
     assert code == 0
     with open(out / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -111,7 +111,7 @@ def test_sweep_single_cell_matches_reconstruct(tmp_path):
     assert run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
                "--dictionary", dict_path, "--method", "dict", "--grid-size", 32,
                "--lambda1", 100, "--lambda2", 0.05, "--iters", 20,
-               "--out", out_r, *GEOM_FLAGS) == 0
+               "--out", out_r) == 0
     assert run("evaluate", "--recon", out_r / "recon.dlgrid",
                "--truth", sim / "phantom.dlgrid", "--out", tmp_path / "ev1") == 0
     with open(tmp_path / "ev1" / "metrics.csv") as fh:
@@ -121,7 +121,7 @@ def test_sweep_single_cell_matches_reconstruct(tmp_path):
     assert run("sweep", "--sinogram", sim / "sinogram.dlgrid",
                "--truth", sim / "phantom.dlgrid", "--dictionary", dict_path,
                "--lambda1-grid", "100", "--lambda2-grid", "0.05",
-               "--grid-size", 32, "--iters", 20, "--out", out_s, *GEOM_FLAGS) == 0
+               "--grid-size", 32, "--iters", 20, "--out", out_s) == 0
     with open(out_s / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -140,7 +140,7 @@ def test_sweep_row_count_matches_grid(tmp_path):
     assert run("sweep", "--sinogram", sim / "sinogram.dlgrid",
                "--truth", sim / "phantom.dlgrid", "--dictionary", dict_path,
                "--lambda1-grid", "50,100", "--lambda2-grid", "0.01,0.05,0.1",
-               "--grid-size", 32, "--iters", 5, "--out", out, *GEOM_FLAGS) == 0
+               "--grid-size", 32, "--iters", 5, "--out", out) == 0
     with open(out / "sweep.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 6
 
@@ -182,7 +182,7 @@ def test_unknown_config_key_exits_with_config_code(tmp_path, capsys):
     cfg.write_text("lambda2=0.05\nlamda1=1000\n")
     out = tmp_path / "rec"
     code = run("reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--method", "fbp",
-               "--config", cfg, "--grid-size", 32, "--out", out, *GEOM_FLAGS)
+               "--config", cfg, "--grid-size", 32, "--out", out)
     assert code == cli.EXIT_CONFIG
     assert "lamda1" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
@@ -235,6 +235,32 @@ def test_removed_geometry_key_exits_with_config_code(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+def test_sinogram_file_sets_the_geometry(command, tmp_path, capsys):
+    # The file sets the angle count, bin count and detector spacing, so a
+    # flag or config key that could contradict it is refused with exit 2.
+    sim = simulate(tmp_path)
+    write_dictionary(tmp_path / "d.dldict", Dictionary.random(4, 8, 1))
+    out = tmp_path / "out"
+    argv = [command, "--sinogram", sim / "sinogram.dlgrid", "--grid-size", 32,
+            "--iters", 2, "--out", out]
+    if command == "reconstruct":
+        argv += ["--method", "fbp"]
+    else:
+        argv += ["--truth", sim / "phantom.dlgrid", "--dictionary", tmp_path / "d.dldict"]
+    cfg = tmp_path / "geom.cfg"
+    for key, value in (("num_angles", 10), ("num_bins", 7), ("detector_spacing", 9.0)):
+        with pytest.raises(SystemExit) as exited:
+            run(*argv, "--" + key.replace("_", "-"), value)
+        assert exited.value.code == 2
+        capsys.readouterr()
+        cfg.write_text(f"{key}={value}\n")
+        assert run(*argv, "--config", cfg) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert run(*argv, "--angular-range", math.pi) == 0
+
+
 @pytest.mark.parametrize("command", ["evaluate", "verify-elbo", "atoms"])
 def test_config_free_commands_reject_config_keys(command, tmp_path, capsys):
     from dictolearn.fileio import write_dictionary
@@ -265,7 +291,7 @@ def test_sweep_default_grid_axes(tmp_path):
     out = tmp_path / "defsweep"
     assert run("sweep", "--sinogram", sim / "sinogram.dlgrid",
                "--truth", sim / "phantom.dlgrid", "--dictionary", dict_path,
-               "--grid-size", 32, "--iters", 2, "--out", out, *GEOM_FLAGS) == 0
+               "--grid-size", 32, "--iters", 2, "--out", out) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(float(r["lambda1"]), float(r["lambda2"])) for r in rows] == [

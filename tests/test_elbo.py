@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dictolearn import elbo
+from dictolearn import elbo, sparse
 from dictolearn.elbo import (
     ElboReport,
     ModelParams,
@@ -17,7 +22,7 @@ from dictolearn.elbo import (
     posterior_mode,
     sample_laplace,
 )
-from dictolearn.operators import ContractError, Dictionary, PatchSynthesis
+from dictolearn.operators import ContractError, Dictionary
 from conftest import cd_sparse_solve
 
 
@@ -110,24 +115,23 @@ def test_posterior_mode_matches_coordinate_descent(instance):
 
 
 def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
-    # FISTA carries S(z) in its state, so it applies S once at the start
-    # and once per iteration; each restart retries a step and costs one
-    # more. On this overcomplete instance, restarting on every rise of
-    # rounding size restarted about half of the iterations.
+    # On this overcomplete instance, restarting on every rise of rounding
+    # size restarted about half of the iterations.
     d = Dictionary.random(16, 4, 5)
     x = np.random.default_rng(7).standard_normal(16) * 0.5
     params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=16, m=16)
-    calls = []
-    apply = PatchSynthesis.apply
+    runs = []
+    descent = sparse.accelerated_descent
 
-    def counted(self, z):
-        calls.append(z)
-        return apply(self, z)
+    def recorded(*args):
+        runs.append(descent(*args))
+        return runs[-1]
 
-    monkeypatch.setattr(PatchSynthesis, "apply", counted)
+    monkeypatch.setattr(sparse, "accelerated_descent", recorded)
     iters, restart_allowance = 2000, 10
     posterior_mode(x, d, params, fista_iters=iters)
-    assert len(calls) <= iters + 1 + restart_allowance
+    assert len(runs) == 1 and len(runs[0].parts) == iters
+    assert runs[0].restarts + runs[0].halvings <= restart_allowance
 
 
 def test_lambda_mapping_preserves_argmin(instance):
@@ -283,3 +287,15 @@ def test_params_validation():
         elbo_monte_carlo(np.zeros(1), Dictionary(np.ones((1, 1, 1))),
                          ModelParams(sigma=1, b=1, b_star=1, n=1, m=1),
                          np.zeros(1), n_samples=10)
+
+
+def test_verify_bounds_script_reports_no_violations():
+    # The script runs posterior_mode, the closed-form and Monte-Carlo
+    # ELBOs and the quadrature on random small models.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "scripts/verify_bounds.py", "--instances", "4",
+                           "--mc-samples", "5000", "--seed", "0"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    assert "\n0 violations" in proc.stdout

@@ -4,13 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from dictolearn.operators import (CoefficientMaps, ContractError, ConvSynthesis, Dictionary,
                                   ImageGrid, PatchSynthesis)
+from dictolearn.analytics import random_ellipse_phantom
 from dictolearn.sparse import (
     DivergenceError,
     SparseCodeConfig,
+    SynthesisCoupling,
     accelerated_descent,
     fista_sparse_code,
     soft_threshold,
     sparse_objective,
+    z_parts,
+    z_step,
 )
 from dictolearn.elbo import dense_matrix
 from conftest import cd_sparse_solve, estimate_lipschitz
@@ -130,25 +134,64 @@ def test_fista_trace_monotone(rng):
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
 
-def test_fista_synthesis_call_count(rng, monkeypatch):
-    # S(z) rides in the descent state: one synthesis per iteration plus
-    # the initial one, and one adjoint per iteration.
+def count_synthesis_calls(monkeypatch, op_class):
+    """Count ``apply`` and ``adjoint`` calls of ``op_class`` in the returned dict."""
     calls = {"apply": 0, "adjoint": 0}
 
     def counted(name):
-        method = getattr(ConvSynthesis, name)
+        method = getattr(op_class, name)
 
         def wrapper(self, arg):
             calls[name] += 1
             return method(self, arg)
         return wrapper
 
-    monkeypatch.setattr(ConvSynthesis, "apply", counted("apply"))
-    monkeypatch.setattr(ConvSynthesis, "adjoint", counted("adjoint"))
+    monkeypatch.setattr(op_class, "apply", counted("apply"))
+    monkeypatch.setattr(op_class, "adjoint", counted("adjoint"))
+    return calls
+
+
+def test_fista_synthesis_call_count(rng, monkeypatch):
+    # S(z) rides in the descent state: one synthesis per iteration plus
+    # the initial one, and one adjoint per iteration.
+    calls = count_synthesis_calls(monkeypatch, ConvSynthesis)
     d = Dictionary.random(4, 3, 43)
     x = ImageGrid(rng.standard_normal((9, 9)))
     fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=120), "convolutional")
     assert calls == {"apply": 121, "adjoint": 120}
+
+
+def phantom_crop():
+    """64x64 crop of a 128x128 phantom, coded with 64 random 8x8 atoms."""
+    x = ImageGrid(random_ellipse_phantom(128, seed=3).values[32:96, 40:104])
+    return Dictionary.random(64, 8, 47), x
+
+
+def test_patch_fista_makes_no_synthesis_round_trip(monkeypatch):
+    # Patch mode runs in Gram form: S^T x once per solve, then one
+    # (tiles x m)(m x m) product per iteration and no apply of S.
+    calls = count_synthesis_calls(monkeypatch, PatchSynthesis)
+    d, x = phantom_crop()
+    fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=40), "patch")
+    assert calls == {"apply": 0, "adjoint": 1}
+
+
+def test_patch_fista_gram_form_matches_residual_form():
+    d, x = phantom_crop()
+    lam, iters = 0.05, 40
+    z, trace = fista_sparse_code(d, x, SparseCodeConfig(lam=lam, max_iters=iters), "patch")
+
+    reference = SynthesisCoupling(d, "patch", x.shape, 1.0, lam)
+
+    def step(point, scale):
+        new = z_step(reference, x.values, *point, scale)
+        return new, z_parts(reference, x.values, *new)
+
+    zero = reference.z_zero()
+    start = (zero, reference.synth(zero))
+    run = accelerated_descent(step, start, sum(z_parts(reference, x.values, *start)), iters)
+    assert np.max(np.abs(z.maps - run.state[0])) <= 1e-12
+    assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam), rel=1e-12)
 
 
 def test_fista_fixed_point():
