@@ -43,6 +43,7 @@ __all__ = [
     "sample_laplace",
 ]
 
+MC_MIN_SAMPLES = 1000  # fewest draws elbo_monte_carlo accepts
 _MC_BLOCK = 1 << 16
 _QUAD_BLOCK = 1 << 16
 # Quadrature nodes stream in blocks, so this caps time, not memory: 5e7
@@ -85,19 +86,11 @@ class ElboReport:
     def gap(self) -> float:
         return self.elbo_exact - self.lower_bound
 
+    COLUMNS = ("f_at_mode", "penalty_quad", "penalty_lin", "constant_c", "expected_f",
+               "elbo_exact", "lower_bound", "gap", "gap_bound", "support_size")
+
     def as_dict(self) -> dict:
-        return {
-            "f_at_mode": self.f_at_mode,
-            "penalty_quad": self.penalty_quad,
-            "penalty_lin": self.penalty_lin,
-            "constant_c": self.constant_c,
-            "expected_f": self.expected_f,
-            "elbo_exact": self.elbo_exact,
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "gap_bound": self.gap_bound,
-            "support_size": self.support_size,
-        }
+        return {key: getattr(self, key) for key in self.COLUMNS}
 
 
 def dense_matrix(dict_: Dictionary) -> np.ndarray:
@@ -237,8 +230,8 @@ def elbo_monte_carlo(x, dict_: Dictionary, params: ModelParams, z_star: np.ndarr
     joint log density; the entropy term uses its closed form
     ``m ln(2 b_star) + m``.
     """
-    if n_samples < 1000:
-        raise ContractError("n_samples must be at least 1000")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ContractError(f"n_samples must be at least {MC_MIN_SAMPLES}")
     x = _check_dims(x, dict_, params)
     z_star = np.asarray(z_star, dtype=np.float64).ravel()
     d = dense_matrix(dict_)

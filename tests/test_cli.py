@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,14 @@ GEOM_FLAGS = ["--num-angles", "24", "--num-bins", "48", "--detector-spacing", "1
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """Exit status of a run, whether argparse or the command ends it."""
+    try:
+        return run(*argv)
+    except SystemExit as exited:
+        return exited.code
 
 
 def simulate(tmp_path, seed=7, out="sim"):
@@ -200,6 +210,9 @@ def test_verify_elbo_report_and_determinism(tmp_path):
                    "--mc-samples", 5000, "--seed", 3, "--out", out)
         assert code == 0
     assert (out1 / "elbo_report.csv").read_bytes() == (out2 / "elbo_report.csv").read_bytes()
+    assert (out1 / "elbo_report.csv").read_text().splitlines()[0] == (
+        "sample,f_at_mode,penalty_quad,penalty_lin,constant_c,expected_f,elbo_exact,"
+        "lower_bound,gap,gap_bound,support_size,mc_estimate,mc_stderr,violation")
     with open(out1 / "elbo_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
@@ -297,3 +310,122 @@ def test_sweep_default_grid_axes(tmp_path):
     assert [(float(r["lambda1"]), float(r["lambda2"])) for r in rows] == [
         (10.0, 0.0012), (10.0, 0.0016), (10.0, 0.0024),
         (50.0, 0.0012), (50.0, 0.0016), (50.0, 0.0024)]
+
+
+# Arguments that each command needs besides its option table; only parsed here.
+REQUIRED = {
+    "simulate": [],
+    "train": ["--data", "d"],
+    "reconstruct": ["--sinogram", "s.dlgrid", "--method", "fbp"],
+    "sweep": ["--sinogram", "s.dlgrid", "--truth", "t.dlgrid", "--dictionary", "d.dldict"],
+}
+
+
+def _other_value(key, default):
+    """Config text for a value that differs from the default, and that value."""
+    if isinstance(default, bool):
+        return str(not default).lower(), not default
+    if isinstance(default, tuple):
+        return "1,2.5", (1.0, 2.5)
+    if isinstance(default, str):
+        choice = next(c for c in cli.CHOICES[key] if c != default)
+        return choice, choice
+    value = type(default)(default * 2 + 1)
+    return repr(value), value
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_flag_and_config_key_parse_alike(command, tmp_path):
+    parser = cli.build_parser()
+    table = parser.parse_args([command, *REQUIRED[command], "--out", "o"]).table
+    assert len(table) == {"simulate": 11, "train": 19, "reconstruct": 12, "sweep": 7}[command]
+    cfg = tmp_path / "run.cfg"
+    for key, default in table.items():
+        text, value = _other_value(key, default)
+        flag = parser.parse_args([command, *REQUIRED[command], "--out", "o",
+                                  "--" + key.replace("_", "-"), text])
+        cfg.write_text(f"{key}={text}\n")
+        file = parser.parse_args([command, *REQUIRED[command], "--out", "o", "--config", str(cfg)])
+        assert cli._options(flag)[key] == cli._options(file)[key] == value != default, key
+
+
+def _train_data(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    r = np.random.default_rng(0)
+    for i in range(3):
+        write_grid(data / f"img{i}.dlgrid", r.standard_normal((24, 24)) * 0.01, 1.0)
+    return data
+
+
+def _command_argv(command, tmp_path):
+    """A quick run of each command; its files are made on demand."""
+    if command == "simulate":
+        return ["simulate", "--phantom-size", 32, *GEOM_FLAGS]
+    if command == "train":
+        return ["train", "--data", _train_data(tmp_path), "--atom-count", 4, "--atom-side", 4,
+                "--crop-size", 16, "--target-sparsity", 4, "--validation-interval", 1]
+    sim = simulate(tmp_path)
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, Dictionary.random(4, 3, 1))
+    if command == "verify-elbo":
+        return ["verify-elbo", "--dictionary", dict_path, "--sigma", 0.3,
+                "--b", 0.4, "--b-star", 0.05, "--count", 1]
+    if command == "sweep":
+        return ["sweep", "--sinogram", sim / "sinogram.dlgrid", "--truth", sim / "phantom.dlgrid",
+                "--dictionary", dict_path, "--grid-size", 32, "--iters", 2]
+    return ["reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--dictionary", dict_path,
+            "--grid-size", 32]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value, extra", [
+    ("train", "steps", "2.5", []),
+    ("reconstruct", "lambda1", "abc", ["--method", "fbp"]),
+    ("reconstruct", "lambda1", "abc", ["--method", "huber"]),
+    ("train", "remove_low_frequency", "ture", ["--steps", 0]),
+    ("reconstruct", "fbp_window", "bogus", ["--method", "fbp"]),
+    ("simulate", "contrast", "bogus", []),
+    ("simulate", "phantom", "bogus", []),
+], ids=["int", "float", "float-huber", "bool", "fbp-window", "contrast", "phantom"])
+def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, source,
+                                                   tmp_path, capsys):
+    argv = _command_argv(command, tmp_path) + extra
+    out = tmp_path / "out"
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "bad.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", tmp_path / "bad.cfg"]
+    assert exit_code(*argv, "--out", out) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, code", [
+    ("reconstruct", ["--method", "huber", "--huber-iters", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "dict", "--iters", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "dict-patch", "--dictionary", "bad.dldict"], cli.EXIT_IO),
+    ("verify-elbo", ["--mc-samples", 10], cli.EXIT_CONTRACT),
+    ("sweep", ["--lambda1-grid", "-1"], cli.EXIT_CONTRACT),
+    ("simulate", ["--incident-photons", 0], cli.EXIT_CONTRACT),
+], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
+        "incident-photons"])
+def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
+    # The run ends before its manifest, so no manifest claims unwritten outputs.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.dldict").write_bytes(b"not a dictionary")
+    out = tmp_path / "out"
+    assert run(*_command_argv(command, tmp_path), *extra, "--out", out) == code
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line pipeline")[1].split("```sh\n")[1].split("```")[0]
+    block = block.replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("dictolearn ")]
+    assert len(commands) == 7
+    for argv in commands:
+        cli._options(cli.build_parser().parse_args(argv))
