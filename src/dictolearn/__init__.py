@@ -6,13 +6,9 @@ from .operators import (
     Dictionary,
     ImageGrid,
     ZeroAtomError,
-    adjoint_conv,
-    adjoint_patch,
     dict_gradient,
     make_synthesis,
     normalize_atoms,
-    synthesize_conv,
-    synthesize_patch,
 )
 from .sparse import (
     DivergenceError,
@@ -26,7 +22,6 @@ from .tomo import (
     AcquisitionGeometry,
     NoiseModel,
     Sinogram,
-    back_project,
     data_loss_and_gradient,
     fbp,
     forward_project,
@@ -41,7 +36,6 @@ from .learn import (
     TrainLog,
     adam_update,
     adapt_lambda,
-    measure_sparsity,
     remove_low_frequency,
     train_dictionary,
 )

@@ -29,9 +29,6 @@ class MetricReport:
     psnr: float
     ssim: float
 
-    def as_dict(self):
-        return {"psnr": self.psnr, "ssim": self.ssim}
-
 
 def psnr(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
     """``10 log10(data_range^2 / MSE)``; +inf for identical images."""

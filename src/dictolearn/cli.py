@@ -224,10 +224,11 @@ def cmd_train(args, opt) -> int:
         **{key: opt[key] for key in (
             "atom_count", "atom_side", "target_sparsity", "crop_size", "steps",
             "learning_rate", "beta1", "beta2", "epsilon", "validation_interval", "fista_iters")},
-        adjust_constant=c if c > 0 else None,
-        initial_lambda=lam0 if lam0 > 0 else None,
+        adjust_constant=c if c != 0 else None,
+        initial_lambda=lam0 if lam0 != 0 else None,
         seed=_substream(args.seed, "train"),
     )
+    tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
     geom = _geometry(opt) if opt["remove_low_frequency"] else None
 
     outputs = ["dictionary.dldict", "train_log.csv"]
@@ -264,6 +265,8 @@ def cmd_reconstruct(args, opt) -> int:
     elif method == "huber":
         hcfg = recon.HuberConfig(lam=opt["huber_lambda"], gamma=opt["huber_gamma"],
                                  iters=opt["huber_iters"])
+    else:
+        tomo.check_cutoff(opt["fbp_cutoff"], "fbp_cutoff")
 
     outputs = ["recon.dlgrid", "trace.csv"]
     if args.save_coefficients and needs_dict:
@@ -356,6 +359,8 @@ def cmd_sweep(args, opt) -> int:
 def cmd_verify_elbo(args, opt) -> int:
     if 0 < args.mc_samples < elbo.MC_MIN_SAMPLES:
         raise ContractError(f"--mc-samples must be 0 or at least {elbo.MC_MIN_SAMPLES}")
+    if not args.samples_dir and args.count < 1:
+        raise ConfigError("--count must be at least 1 without --samples-dir")
     out = Path(args.out)
     dictionary = fileio.read_dictionary(args.dictionary)
     k = dictionary.atom_side

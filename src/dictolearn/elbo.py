@@ -141,6 +141,16 @@ def joint_log_density(x, z, dict_: Dictionary, params: ModelParams) -> float:
     return gaussian_logpdf(residual, params.sigma) + laplace_logpdf(z, 0.0, params.b)
 
 
+def _log_joint_rows(x: np.ndarray, z: np.ndarray, d: np.ndarray,
+                    params: ModelParams) -> np.ndarray:
+    """:func:`joint_log_density` of x at each row of ``z``, with ``d = dense_matrix``."""
+    const = -0.5 * params.n * np.log(2.0 * np.pi * params.sigma ** 2) \
+        - params.m * np.log(2.0 * params.b)
+    residual = z @ d.T - x[None, :]
+    return (const - np.sum(residual * residual, axis=1) / (2.0 * params.sigma ** 2)
+            - np.sum(np.abs(z), axis=1) / params.b)
+
+
 def posterior_mode(x, dict_: Dictionary, params: ModelParams,
                    fista_iters: int = 2000) -> np.ndarray:
     """Mode of the joint density in z: minimizer of f(x, .).
@@ -235,16 +245,13 @@ def elbo_monte_carlo(x, dict_: Dictionary, params: ModelParams, z_star: np.ndarr
     x = _check_dims(x, dict_, params)
     z_star = np.asarray(z_star, dtype=np.float64).ravel()
     d = dense_matrix(dict_)
-    sigma, b, bs, n, m = params.sigma, params.b, params.b_star, params.n, params.m
-    const = -0.5 * n * np.log(2.0 * np.pi * sigma ** 2) - m * np.log(2.0 * b)
+    bs, m = params.b_star, params.m
 
     total = 0.0
     total_sq = 0.0
     for start in range(0, n_samples, _MC_BLOCK):
         z = _laplace_block(z_star, bs, start, min(start + _MC_BLOCK, n_samples), seed)
-        residual = z @ d.T - x[None, :]
-        logp = const - np.sum(residual * residual, axis=1) / (2.0 * sigma ** 2) \
-            - np.sum(np.abs(z), axis=1) / b
+        logp = _log_joint_rows(x, z, d, params)
         total += float(np.sum(logp))
         total_sq += float(np.sum(logp * logp))
 
@@ -270,7 +277,6 @@ def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
     axis = np.linspace(-span * params.b, span * params.b, points)
     log_stepw = np.log(np.full(points, axis[1] - axis[0]))
     log_stepw[[0, -1]] += np.log(0.5)
-    const = -0.5 * params.n * np.log(2.0 * np.pi * params.sigma ** 2) - m * np.log(2.0 * params.b)
 
     block_lse = []
     for start in range(0, points ** m, _QUAD_BLOCK):
@@ -278,8 +284,5 @@ def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
                                (points,) * m)
         z = np.stack([axis[i] for i in idx], axis=1)
         logw = sum(log_stepw[i] for i in idx)
-        residual = z @ d.T - x[None, :]
-        logp = (const - np.sum(residual * residual, axis=1) / (2.0 * params.sigma ** 2)
-                - np.sum(np.abs(z), axis=1) / params.b)
-        block_lse.append(logsumexp(logp + logw))
+        block_lse.append(logsumexp(_log_joint_rows(x, z, d, params) + logw))
     return float(logsumexp(block_lse))

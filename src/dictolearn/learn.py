@@ -17,15 +17,14 @@ import numpy as np
 
 from .operators import (
     ContractError,
-    CoefficientMaps,
     Dictionary,
     ImageGrid,
     PatchSynthesis,
-    ZeroAtomError,
+    dict_gradient,
     normalize_atoms,
 )
 from .sparse import SparseCodeConfig, fista_sparse_code
-from .tomo import AcquisitionGeometry, fbp, forward_project
+from .tomo import AcquisitionGeometry, check_cutoff, fbp, forward_project
 
 __all__ = [
     "TrainConfig",
@@ -35,7 +34,6 @@ __all__ = [
     "remove_low_frequency",
     "adapt_lambda",
     "adam_update",
-    "measure_sparsity",
     "train_dictionary",
 ]
 
@@ -75,8 +73,10 @@ class TrainConfig:
             raise ContractError("atom_count and atom_side must be positive")
         if not 0 < self.target_sparsity <= self.atom_count * (self.crop_size // self.atom_side) ** 2:
             raise ContractError("target_sparsity must be positive and at most the coefficient count")
-        if self.adjust_constant is not None and not self.adjust_constant > 0:
-            raise ContractError("adjust_constant must be positive")
+        for name in ("adjust_constant", "initial_lambda"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ContractError(f"{name} must be positive")
         if self.crop_size % self.atom_side:
             raise ContractError("crop_size must be divisible by atom_side")
         if self.steps < 0 or self.fista_iters < 1 or self.validation_interval < 1:
@@ -131,8 +131,7 @@ def remove_low_frequency(x: ImageGrid, geom: AcquisitionGeometry,
     ``cutoff_fraction`` of the detector Nyquist frequency, i.e. the same
     procedure a reconstruction has available when no image is at hand.
     """
-    if not 0.0 < cutoff_fraction <= 1.0:
-        raise ContractError("cutoff_fraction must lie in (0, 1]")
+    check_cutoff(cutoff_fraction, "cutoff_fraction")
     clean = forward_project(x, geom)
     low = fbp(clean, x.shape, x.pixel_spacing, window="hann", cutoff=cutoff_fraction)
     return x.like(x.values - low.values)
@@ -166,13 +165,6 @@ def adam_update(state: AdamState, grad: np.ndarray, atoms: np.ndarray,
     v_hat = v / (1.0 - beta2 ** step)
     new_atoms = atoms - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
     return AdamState(m, v, step), new_atoms
-
-
-def measure_sparsity(z: CoefficientMaps, threshold: float) -> int:
-    """Number of coefficients with magnitude above ``threshold``."""
-    if threshold < 0:
-        raise ContractError("threshold must be >= 0")
-    return z.nonzero_count(threshold)
 
 
 def _center_crop(values: np.ndarray, size: int) -> np.ndarray:
@@ -254,9 +246,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     for step in range(1, cfg.steps + 1):
         crop = random_crop(highpass[int(rng.choice(train_idx))])
         z, _ = code(dictionary, crop, cfg.fista_iters)
-        op = PatchSynthesis(dictionary, crop.shape)
-        residual = op.apply(z) - crop
-        grad = op.dict_gradient(z, residual)
+        grad = dict_gradient(dictionary, z, ImageGrid(crop))
         adam, atoms = adam_update(adam, grad, dictionary.atoms,
                                   cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
@@ -279,7 +269,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
             for vc in val_crops:
                 zv, trace = code(dictionary, vc, cfg.fista_iters)
                 thr = SPARSITY_EPS * max(float(np.max(np.abs(zv.maps))), 1e-300)
-                counts.append(measure_sparsity(zv, thr))
+                counts.append(zv.nonzero_count(thr))
                 objectives.append(trace[-1])
                 used |= zv.channel_abs_sums() > thr
             s_hat = float(np.mean(counts))

@@ -30,10 +30,6 @@ __all__ = [
     "ConvSynthesis",
     "PatchSynthesis",
     "make_synthesis",
-    "synthesize_conv",
-    "synthesize_patch",
-    "adjoint_conv",
-    "adjoint_patch",
     "dict_gradient",
     "normalize_atoms",
 ]
@@ -174,6 +170,8 @@ class CoefficientMaps:
 
     def nonzero_count(self, threshold: float = 0.0) -> int:
         """Number of entries with magnitude strictly above ``threshold``."""
+        if threshold < 0:
+            raise ContractError("threshold must be >= 0")
         return int(np.count_nonzero(np.abs(self.maps) > threshold))
 
     def channel_abs_sums(self) -> np.ndarray:
@@ -345,26 +343,6 @@ def make_synthesis(dict_: Dictionary, mode: str, grid_shape):
     if mode == PATCH:
         return PatchSynthesis(dict_, grid_shape)
     raise ContractError(f"unknown mode {mode!r}")
-
-
-def synthesize_conv(dict_: Dictionary, z: CoefficientMaps) -> ImageGrid:
-    """Sum of per-channel convolutions z_i * d_i with "same"-size output."""
-    return ImageGrid(ConvSynthesis(dict_, z.grid_shape).apply(z))
-
-
-def synthesize_patch(dict_: Dictionary, z: CoefficientMaps, grid_shape) -> ImageGrid:
-    """Tile-wise synthesis: each k-by-k tile is the atom combination of its z vector."""
-    return ImageGrid(PatchSynthesis(dict_, grid_shape).apply(z))
-
-
-def adjoint_conv(dict_: Dictionary, residual: ImageGrid) -> CoefficientMaps:
-    """Adjoint of :func:`synthesize_conv`: per-channel cross-correlation."""
-    return ConvSynthesis(dict_, residual.shape).adjoint(residual.values)
-
-
-def adjoint_patch(dict_: Dictionary, residual: ImageGrid) -> CoefficientMaps:
-    """Adjoint of :func:`synthesize_patch`: per-tile atom inner products."""
-    return PatchSynthesis(dict_, residual.shape).adjoint(residual.values)
 
 
 def dict_gradient(dict_: Dictionary, z: CoefficientMaps, x: ImageGrid) -> np.ndarray:

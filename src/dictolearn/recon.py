@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .operators import (CoefficientMaps, ContractError, Dictionary, ImageGrid, PatchSynthesis,
                         make_synthesis)
 from .sparse import SynthesisCoupling, accelerated_descent, z_parts, z_step
-from .tomo import Sinogram, fbp, get_projector, likelihood_weights
+from .tomo import Sinogram, check_cutoff, fbp, get_projector, likelihood_weights
 
 __all__ = [
     "ReconConfig",
@@ -75,8 +75,7 @@ class ReconConfig:
             raise ContractError("lambda1 and lambda2 must be positive")
         if self.iters < 1:
             raise ContractError("iters must be >= 1")
-        if not 0 < self.lowpass_cutoff <= 1:
-            raise ContractError("lowpass_cutoff must lie in (0, 1]")
+        check_cutoff(self.lowpass_cutoff, "lowpass_cutoff")
 
 
 @dataclass
@@ -281,18 +280,31 @@ def _huber_slope(values: np.ndarray, gamma: float) -> np.ndarray:
     return np.clip(values / gamma, -1.0, 1.0)
 
 
+def _huber_objective(x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndarray,
+                     cfg: HuberConfig) -> float:
+    """``L(A x, y) + lam * H_gamma(grad x)``, given x and its projection ``ax``."""
+    d = ax - y.values
+    gh, gv = image_gradient(x)
+    return float(np.sum(w * d * d)) \
+        + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
+
+
+def _huber_gradient(proj, x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndarray,
+                    cfg: HuberConfig) -> np.ndarray:
+    """Gradient in x of :func:`_huber_objective`."""
+    gh, gv = image_gradient(x)
+    return 2.0 * proj.adjoint(w * (ax - y.values)) \
+        + cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
+                                           _huber_slope(gv, cfg.gamma))
+
+
 def huber_loss_and_gradient(x: ImageGrid, y: Sinogram, cfg: HuberConfig):
     """Full Huber objective ``L(A(x), y) + lam * H_gamma(grad x)`` and its gradient."""
     proj = get_projector(y.geometry, x.shape, x.pixel_spacing)
     w = likelihood_weights(y)
-    diff = proj.forward(x.values) - y.values
-    gh, gv = image_gradient(x.values)
-    loss = float(np.sum(w * diff * diff)) \
-        + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
-    grad = 2.0 * proj.adjoint(w * diff) \
-        + cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
-                                           _huber_slope(gv, cfg.gamma))
-    return loss, x.like(grad)
+    ax = proj.forward(x.values)
+    return (_huber_objective(x.values, ax, y, w, cfg),
+            x.like(_huber_gradient(proj, x.values, ax, y, w, cfg)))
 
 
 def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
@@ -309,25 +321,15 @@ def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
     # (1/gamma)-Lipschitz.
     lip = 2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * cfg.lam / cfg.gamma
 
-    def objective(x, ax):
-        d = ax - y.values
-        gh, gv = image_gradient(x)
-        return float(np.sum(w * d * d)) \
-            + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
-
     def step(point, scale):
         xp, axp = point
-        gh, gv = image_gradient(xp)
-        grad = 2.0 * proj.adjoint(w * (axp - y.values))
-        grad += cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
-                                                 _huber_slope(gv, cfg.gamma))
-        x_new = xp - grad / (scale * lip)
+        x_new = xp - _huber_gradient(proj, xp, axp, y, w, cfg) / (scale * lip)
         ax_new = proj.forward(x_new)
-        return (x_new, ax_new), (objective(x_new, ax_new),)
+        return (x_new, ax_new), (_huber_objective(x_new, ax_new, y, w, cfg),)
 
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=0.75).values
     start = (x, proj.forward(x))
-    run = accelerated_descent(step, start, objective(*start), cfg.iters)
+    run = accelerated_descent(step, start, _huber_objective(*start, y, w, cfg), cfg.iters)
     image = ImageGrid(run.state[0], pixel_spacing)
     if return_trace:
         return image, [parts[0] for parts in run.parts]

@@ -30,7 +30,7 @@ __all__ = [
     "Projector",
     "get_projector",
     "forward_project",
-    "back_project",
+    "check_cutoff",
     "fbp",
     "simulate_counts",
     "linearize",
@@ -268,12 +268,6 @@ def forward_project(x: ImageGrid, geom: AcquisitionGeometry) -> Sinogram:
     return Sinogram(proj.forward(x.values), geom)
 
 
-def back_project(sino: Sinogram, grid_shape, pixel_spacing: float = 1.0) -> ImageGrid:
-    """Exact numerical adjoint of :func:`forward_project`."""
-    proj = get_projector(sino.geometry, grid_shape, pixel_spacing)
-    return ImageGrid(proj.adjoint(sino.values), pixel_spacing)
-
-
 def _ramp_kernel(nfft: int, spacing: float) -> np.ndarray:
     """Band-limited ramp filter, sampled in real space (wrapped layout).
 
@@ -302,6 +296,12 @@ def _filter_response(geom: AcquisitionGeometry, nfft: int, window: str, cutoff: 
     return response * taper * (freq <= fmax)
 
 
+def check_cutoff(cutoff: float, name: str = "cutoff"):
+    """Raise :class:`ContractError` unless a relative frequency cutoff lies in (0, 1]."""
+    if not 0.0 < cutoff <= 1.0:
+        raise ContractError(f"{name} must lie in (0, 1]")
+
+
 def fbp(sino: Sinogram, grid_shape, pixel_spacing: float = 1.0,
         window: str = "hann", cutoff: float = 1.0) -> ImageGrid:
     """Filtered back-projection with a windowed, frequency-capped ramp.
@@ -314,8 +314,7 @@ def fbp(sino: Sinogram, grid_shape, pixel_spacing: float = 1.0,
     cutoff : float
         Relative frequency cutoff in (0, 1].
     """
-    if not 0.0 < cutoff <= 1.0:
-        raise ContractError("cutoff must lie in (0, 1]")
+    check_cutoff(cutoff)
     geom = sino.geometry
     nfft = 1 << int(np.ceil(np.log2(max(2 * geom.num_bins, 16))))
     response = _filter_response(geom, nfft, window, cutoff)

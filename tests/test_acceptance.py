@@ -26,13 +26,11 @@ from dictolearn.elbo import (
 from dictolearn.learn import TrainConfig, train_dictionary
 from dictolearn.operators import (
     CoefficientMaps,
+    ConvSynthesis,
     Dictionary,
     ImageGrid,
-    adjoint_conv,
-    adjoint_patch,
+    PatchSynthesis,
     dict_gradient,
-    synthesize_conv,
-    synthesize_patch,
 )
 from dictolearn.recon import (
     HuberConfig,
@@ -92,14 +90,14 @@ def test_c01_adjoint_suite():
         z = rng.standard_normal((m, h, w))
         r = rng.standard_normal((h, w))
         worst = max(worst, adjoint_rel_err(
-            lambda v: synthesize_conv(d, CoefficientMaps("convolutional", v, (h, w))).values,
-            lambda u: adjoint_conv(d, ImageGrid(u)).maps, z, r))
+            lambda v: ConvSynthesis(d, (h, w)).apply(CoefficientMaps("convolutional", v, (h, w))),
+            lambda u: ConvSynthesis(d, (h, w)).adjoint(u).maps, z, r))
         hp, wp = k * int(rng.integers(1, 5)), k * int(rng.integers(1, 5))
         zp = rng.standard_normal((hp // k, wp // k, m))
         rp = rng.standard_normal((hp, wp))
         worst = max(worst, adjoint_rel_err(
-            lambda v: synthesize_patch(d, CoefficientMaps("patch", v, (hp, wp)), (hp, wp)).values,
-            lambda u: adjoint_patch(d, ImageGrid(u)).maps, zp, rp))
+            lambda v: PatchSynthesis(d, (hp, wp)).apply(CoefficientMaps("patch", v, (hp, wp))),
+            lambda u: PatchSynthesis(d, (hp, wp)).adjoint(u).maps, zp, rp))
     elapsed = time.time() - start
     report(1, "adjoint suite", worst < 1e-6 and elapsed < 10.0,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")
@@ -119,10 +117,10 @@ def test_c02_gradient_suite():
         d = Dictionary.random(m, k, 5)
         if mode == "convolutional":
             z = CoefficientMaps(mode, rng.standard_normal((m, 8, 8)), (8, 8))
-            synth = lambda dd, zz: synthesize_conv(dd, zz).values
+            synth = lambda dd, zz: ConvSynthesis(dd, (8, 8)).apply(zz)
         else:
             z = CoefficientMaps(mode, rng.standard_normal((2, 2, m)), (8, 8))
-            synth = lambda dd, zz: synthesize_patch(dd, zz, (8, 8)).values
+            synth = lambda dd, zz: PatchSynthesis(dd, (8, 8)).apply(zz)
         x = ImageGrid(rng.standard_normal((8, 8)))
         grad = dict_gradient(d, z, x)
 

@@ -409,8 +409,15 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("verify-elbo", ["--mc-samples", 10], cli.EXIT_CONTRACT),
     ("sweep", ["--lambda1-grid", "-1"], cli.EXIT_CONTRACT),
     ("simulate", ["--incident-photons", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--fbp-cutoff", 2], cli.EXIT_CONTRACT),
+    ("train", ["--lowpass-cutoff", 2], cli.EXIT_CONTRACT),
+    ("train", ["--adjust-constant", -1], cli.EXIT_CONTRACT),
+    ("train", ["--initial-lambda", -5], cli.EXIT_CONTRACT),
+    ("verify-elbo", ["--count", 0], cli.EXIT_CONFIG),
+    ("verify-elbo", ["--count", -1], cli.EXIT_CONFIG),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
-        "incident-photons"])
+        "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
+        "initial-lambda", "count-zero", "count-negative"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)

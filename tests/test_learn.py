@@ -8,7 +8,6 @@ from dictolearn.learn import (
     TrainConfig,
     adam_update,
     adapt_lambda,
-    measure_sparsity,
     remove_low_frequency,
     train_dictionary,
 )
@@ -103,13 +102,13 @@ def test_adam_shape_mismatch(rng):
 
 def test_measure_sparsity_trivials():
     z = CoefficientMaps.zeros("convolutional", 2, 3, (4, 4))
-    assert measure_sparsity(z, 0.0) == 0
+    assert z.nonzero_count(0.0) == 0
     v = np.zeros((2, 4, 4))
     v[0, 0, 0] = 0.5
     v[1, 1, 1] = -0.2
     v[1, 2, 2] = 1e-12
     z = CoefficientMaps("convolutional", v, (4, 4))
-    assert measure_sparsity(z, 1e-9) == 2
+    assert z.nonzero_count(1e-9) == 2
 
 
 def test_measure_sparsity_matches_oracle_support():
@@ -120,7 +119,7 @@ def test_measure_sparsity_matches_oracle_support():
     z, _ = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
                              SparseCodeConfig(lam=lam, max_iters=500), "patch")
     thr = 1e-8 * max(float(np.max(np.abs(z.maps))), 1e-300)
-    assert measure_sparsity(z, thr) == int(np.count_nonzero(np.abs(z_cd) > thr))
+    assert z.nonzero_count(thr) == int(np.count_nonzero(np.abs(z_cd) > thr))
 
 
 def test_train_zero_steps_returns_initialization():

@@ -10,12 +10,8 @@ from dictolearn.operators import (
     ImageGrid,
     PatchSynthesis,
     ZeroAtomError,
-    adjoint_conv,
-    adjoint_patch,
     dict_gradient,
     normalize_atoms,
-    synthesize_conv,
-    synthesize_patch,
 )
 from conftest import dense_conv_reference, adjoint_rel_err, estimate_lipschitz
 
@@ -40,21 +36,21 @@ def dense_conv_matrix(d, shape):
             for c in range(w):
                 e = np.zeros((m, h, w))
                 e[i, r, c] = 1.0
-                cols.append(synthesize_conv(d, conv_maps(e, shape)).values.ravel())
+                cols.append(ConvSynthesis(d, shape).apply(conv_maps(e, shape)).ravel())
     return np.stack(cols, axis=1)
 
 
 def test_synthesize_conv_zero_coefficients():
     d = Dictionary.random(3, 3, 0)
     z = CoefficientMaps.zeros("convolutional", 3, 3, (9, 9))
-    assert np.all(synthesize_conv(d, z).values == 0.0)
+    assert np.all(ConvSynthesis(d, (9, 9)).apply(z) == 0.0)
 
 
 def test_synthesize_conv_impulse_identity(rng):
     d = impulse_dictionary(3)
     img = rng.standard_normal((10, 12))
-    out = synthesize_conv(d, conv_maps(img[None], (10, 12)))
-    np.testing.assert_allclose(out.values, img, atol=1e-14)
+    out = ConvSynthesis(d, (10, 12)).apply(conv_maps(img[None], (10, 12)))
+    np.testing.assert_allclose(out, img, atol=1e-14)
 
 
 def test_synthesize_conv_matches_assembled_matrix(rng):
@@ -68,14 +64,14 @@ def test_synthesize_conv_matches_assembled_matrix(rng):
     for i in range(2):
         idx = rng.choice(h * w, size=2, replace=False)
         z[i].ravel()[idx] = rng.standard_normal(2)
-    out = synthesize_conv(d, conv_maps(z, (h, w))).values
+    out = ConvSynthesis(d, (h, w)).apply(conv_maps(z, (h, w)))
     np.testing.assert_allclose(out.ravel(), matrix @ z.ravel(), rtol=1e-12, atol=1e-14)
 
 
 def test_synthesize_conv_matches_loop_reference(rng):
     d = Dictionary.random(3, 4, 5)
     z = rng.standard_normal((3, 9, 7))
-    out = synthesize_conv(d, conv_maps(z, (9, 7))).values
+    out = ConvSynthesis(d, (9, 7)).apply(conv_maps(z, (9, 7)))
     ref = dense_conv_reference(d.atoms, z)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
@@ -119,14 +115,14 @@ def test_patch_norm_sq_is_sigma_max_squared(m, k, shape):
 def test_synthesize_patch_zero():
     d = Dictionary.random(4, 4, 1)
     z = CoefficientMaps.zeros("patch", 4, 4, (8, 8))
-    assert np.all(synthesize_patch(d, z, (8, 8)).values == 0.0)
+    assert np.all(PatchSynthesis(d, (8, 8)).apply(z) == 0.0)
 
 
 def test_synthesize_patch_single_tile_dense_matmul(rng):
     # One 16x16 tile with 512 atoms: the operator is a plain matrix product.
     d = Dictionary.random(512, 16, 7)
     z = rng.standard_normal((1, 1, 512))
-    out = synthesize_patch(d, CoefficientMaps("patch", z, (16, 16)), (16, 16)).values
+    out = PatchSynthesis(d, (16, 16)).apply(CoefficientMaps("patch", z, (16, 16)))
     dense = d.flat().T  # (256, 512)
     np.testing.assert_allclose(out.ravel(), dense @ z.ravel(), rtol=1e-12, atol=1e-13)
 
@@ -135,23 +131,23 @@ def test_patch_equals_conv_on_stride_lattice(rng):
     d = Dictionary.random(6, 16, 2)
     k, h, w = 16, 32, 32
     zp = rng.standard_normal((2, 2, 6))
-    patch_out = synthesize_patch(d, CoefficientMaps("patch", zp, (h, w)), (h, w)).values
+    patch_out = PatchSynthesis(d, (h, w)).apply(CoefficientMaps("patch", zp, (h, w)))
 
     s = (k - 1) // 2
     zc = np.zeros((6, h, w))
     for ty in range(2):
         for tx in range(2):
             zc[:, ty * k + s, tx * k + s] = zp[ty, tx]
-    conv_out = synthesize_conv(d, conv_maps(zc, (h, w))).values
+    conv_out = ConvSynthesis(d, (h, w)).apply(conv_maps(zc, (h, w)))
     np.testing.assert_allclose(patch_out, conv_out, rtol=1e-12, atol=1e-13)
 
 
 def test_adjoint_conv_zero_and_impulse(rng):
     d = impulse_dictionary(5)
-    zero = adjoint_conv(d, ImageGrid(np.zeros((7, 7))))
+    zero = ConvSynthesis(d, (7, 7)).adjoint(np.zeros((7, 7)))
     assert np.all(zero.maps == 0.0)
     r = rng.standard_normal((7, 7))
-    np.testing.assert_allclose(adjoint_conv(d, ImageGrid(r)).maps[0], r, atol=1e-14)
+    np.testing.assert_allclose(ConvSynthesis(d, (7, 7)).adjoint(r).maps[0], r, atol=1e-14)
 
 
 def test_adjoint_identity_conv(rng):
@@ -159,8 +155,8 @@ def test_adjoint_identity_conv(rng):
     z = rng.standard_normal((3, 10, 10))
     r = rng.standard_normal((10, 10))
     err = adjoint_rel_err(
-        lambda v: synthesize_conv(d, conv_maps(v, (10, 10))).values,
-        lambda u: adjoint_conv(d, ImageGrid(u)).maps,
+        lambda v: ConvSynthesis(d, (10, 10)).apply(conv_maps(v, (10, 10))),
+        lambda u: ConvSynthesis(d, (10, 10)).adjoint(u).maps,
         z, r)
     assert err < 1e-10
 
@@ -170,8 +166,8 @@ def test_adjoint_identity_patch(rng):
     z = rng.standard_normal((3, 2, 5))
     r = rng.standard_normal((12, 8))
     err = adjoint_rel_err(
-        lambda v: synthesize_patch(d, CoefficientMaps("patch", v, (12, 8)), (12, 8)).values,
-        lambda u: adjoint_patch(d, ImageGrid(u)).maps,
+        lambda v: PatchSynthesis(d, (12, 8)).apply(CoefficientMaps("patch", v, (12, 8))),
+        lambda u: PatchSynthesis(d, (12, 8)).adjoint(u).maps,
         z, r)
     assert err < 1e-10
 
@@ -186,7 +182,7 @@ def test_dict_gradient_zero_coefficients(rng):
 def test_dict_gradient_zero_residual(rng):
     d = Dictionary.random(2, 3, 19)
     z = conv_maps(rng.standard_normal((2, 8, 8)), (8, 8))
-    x = synthesize_conv(d, z)
+    x = ImageGrid(ConvSynthesis(d, (8, 8)).apply(z))
     g = dict_gradient(d, z, x)
     assert np.max(np.abs(g)) < 1e-12
 
@@ -263,9 +259,10 @@ def test_linearity_conv(seed, alpha, beta):
     d = Dictionary.random(2, 3, seed)
     z1 = r.standard_normal((2, 6, 6))
     z2 = r.standard_normal((2, 6, 6))
-    lhs = synthesize_conv(d, conv_maps(alpha * z1 + beta * z2, (6, 6))).values
-    rhs = (alpha * synthesize_conv(d, conv_maps(z1, (6, 6))).values
-           + beta * synthesize_conv(d, conv_maps(z2, (6, 6))).values)
+    op = ConvSynthesis(d, (6, 6))
+    lhs = op.apply(conv_maps(alpha * z1 + beta * z2, (6, 6)))
+    rhs = (alpha * op.apply(conv_maps(z1, (6, 6)))
+           + beta * op.apply(conv_maps(z2, (6, 6))))
     scale = max(np.max(np.abs(rhs)), 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * scale)
 
@@ -278,13 +275,13 @@ def test_adjointness_randomized_both_modes(seed):
     z = r.standard_normal((3, 9, 9))
     res = r.standard_normal((9, 9))
     err = adjoint_rel_err(
-        lambda v: synthesize_conv(d, conv_maps(v, (9, 9))).values,
-        lambda u: adjoint_conv(d, ImageGrid(u)).maps, z, res)
+        lambda v: ConvSynthesis(d, (9, 9)).apply(conv_maps(v, (9, 9))),
+        lambda u: ConvSynthesis(d, (9, 9)).adjoint(u).maps, z, res)
     assert err < 1e-8
     zp = r.standard_normal((3, 3, 3))
     err = adjoint_rel_err(
-        lambda v: synthesize_patch(d, CoefficientMaps("patch", v, (9, 9)), (9, 9)).values,
-        lambda u: adjoint_patch(d, ImageGrid(u)).maps, zp, res)
+        lambda v: PatchSynthesis(d, (9, 9)).apply(CoefficientMaps("patch", v, (9, 9))),
+        lambda u: PatchSynthesis(d, (9, 9)).adjoint(u).maps, zp, res)
     assert err < 1e-8
 
 
@@ -292,7 +289,7 @@ def test_channel_mismatch_rejected(rng):
     d = Dictionary.random(3, 3, 29)
     z = conv_maps(rng.standard_normal((2, 6, 6)), (6, 6))
     with pytest.raises(ContractError):
-        synthesize_conv(d, z)
+        ConvSynthesis(d, (6, 6)).apply(z)
 
 
 def test_non_divisible_patch_shape_rejected():
@@ -300,7 +297,7 @@ def test_non_divisible_patch_shape_rejected():
     with pytest.raises(ContractError):
         CoefficientMaps.zeros("patch", 2, 4, (10, 8))
     with pytest.raises(ContractError):
-        synthesize_patch(d, CoefficientMaps("patch", np.zeros((2, 2, 2)), (10, 8)), (10, 8))
+        PatchSynthesis(d, (10, 8)).apply(CoefficientMaps("patch", np.zeros((2, 2, 2)), (10, 8)))
 
 
 def test_dictionary_invariants():

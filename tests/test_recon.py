@@ -6,6 +6,7 @@ from dictolearn.operators import CoefficientMaps, ContractError, ConvSynthesis, 
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
+    _OverlapPatchCoupling,
     _accelerated_recon,
     huber_loss_and_gradient,
     huber_value,
@@ -235,6 +236,35 @@ def test_stationary_point_is_fixed():
     gz = 2.0 * lam1 * (z_bar - x_next[None])
     z_next = soft_threshold(z_bar - gz / lz, lam2 / lz)
     assert np.max(np.abs(z_next - z_bar)) < 1e-10
+
+
+def test_overlap_coupling_derivatives(rng):
+    # The x step of _accelerated_recon takes 2 lambda1 (x - synth(z)) as the
+    # x-derivative of value; that holds only if _fold is the exact adjoint
+    # of _patches and every pixel lies in exactly k^2 patches.
+    lambda1 = 1.7
+    coupling = _OverlapPatchCoupling(Dictionary.random(4, 3, 37), (9, 7), lambda1, 0.3)
+    x = rng.standard_normal((9, 7))
+    z = rng.standard_normal(coupling.z_zero().shape)
+    sz = coupling.synth(z)
+
+    def central(fun, point, step=1e-3):
+        # value is quadratic, so central differences carry only rounding error.
+        fd = np.empty_like(point)
+        for idx in np.ndindex(point.shape):
+            up = point.copy()
+            up[idx] += step
+            dn = point.copy()
+            dn[idx] -= step
+            fd[idx] = (fun(up) - fun(dn)) / (2 * step)
+        return fd
+
+    grad_z = coupling.grad_z(x, z, sz)
+    fd_z = central(lambda v: coupling.value(x, v, coupling.synth(v)), z)
+    np.testing.assert_allclose(grad_z, fd_z, rtol=0, atol=1e-8 * np.max(np.abs(fd_z)))
+    fd_x = central(lambda v: coupling.value(v, z, sz), x)
+    grad_x = 2.0 * lambda1 * (x - sz)
+    np.testing.assert_allclose(grad_x, fd_x, rtol=0, atol=1e-8 * np.max(np.abs(fd_x)))
 
 
 def test_image_gradient_adjoint_exact(rng):

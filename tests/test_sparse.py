@@ -86,14 +86,14 @@ def test_soft_threshold_scalars_lists_and_dtypes():
 def test_estimate_lipschitz_matches_dense_eigensolver(rng):
     d = Dictionary.random(2, 3, 41)
     # Assemble S^T S for the 8x8 convolutional operator explicitly.
-    from dictolearn.operators import synthesize_conv
+    from dictolearn.operators import ConvSynthesis
     cols = []
     for i in range(2):
         for r in range(8):
             for c in range(8):
                 e = np.zeros((2, 8, 8))
                 e[i, r, c] = 1.0
-                cols.append(synthesize_conv(d, CoefficientMaps("convolutional", e, (8, 8))).values.ravel())
+                cols.append(ConvSynthesis(d, (8, 8)).apply(CoefficientMaps("convolutional", e, (8, 8))).ravel())
     S = np.stack(cols, axis=1)
     true = np.linalg.eigvalsh(S.T @ S).max()
     est = estimate_lipschitz(d, (8, 8), "convolutional", power_iters=100)
