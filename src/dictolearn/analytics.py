@@ -60,6 +60,8 @@ def ssim(a: ImageGrid, b: ImageGrid, data_range: float, window_side: int = 11,
         raise ContractError("images must share a shape")
     if min(a.shape) < window_side:
         raise ContractError("image smaller than the SSIM window")
+    if not data_range > 0:
+        raise ContractError("data_range must be positive")
     win = _gaussian_window(window_side, sigma)
     av, bv = a.values, b.values
 

@@ -271,6 +271,8 @@ def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
     """
     x = _check_dims(x, dict_, params)
     m = params.m
+    if points < 2 or not span > 0:
+        raise ContractError("quadrature needs points >= 2 and span > 0")
     if points ** m > _GRID_BUDGET:
         raise ContractError(f"grid of {points}^{m} nodes exceeds the quadrature budget")
     d = dense_matrix(dict_)

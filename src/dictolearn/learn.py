@@ -81,6 +81,12 @@ class TrainConfig:
             raise ContractError("crop_size must be divisible by atom_side")
         if self.steps < 0 or self.fista_iters < 1 or self.validation_interval < 1:
             raise ContractError("steps, fista_iters, validation_interval out of range")
+        if not (self.learning_rate > 0 and self.epsilon > 0):
+            raise ContractError("learning_rate and epsilon must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ContractError("beta1 and beta2 must lie in [0, 1)")
+        if not 0 < self.validation_fraction <= 1:
+            raise ContractError("validation_fraction must lie in (0, 1]")
 
 
 @dataclass

@@ -141,9 +141,9 @@ class Dictionary:
 class CoefficientMaps:
     """Latent coefficients z, bound to a target image shape.
 
-    In convolutional mode ``maps`` has shape (m, H, W): one full-resolution
-    spatial map per atom. In patch mode it has shape (H//k, W//k, m): one
-    m-vector per non-overlapping k-by-k tile.
+    ``maps`` is channel-first in both modes, one map per atom: (m, H, W)
+    at full resolution in convolutional mode, (m, H//k, W//k) with one
+    entry per non-overlapping k-by-k tile in patch mode.
     """
 
     mode: str
@@ -166,7 +166,7 @@ class CoefficientMaps:
 
     @property
     def channel_count(self) -> int:
-        return self.maps.shape[0] if self.mode == CONVOLUTIONAL else self.maps.shape[2]
+        return self.maps.shape[0]
 
     def nonzero_count(self, threshold: float = 0.0) -> int:
         """Number of entries with magnitude strictly above ``threshold``."""
@@ -176,19 +176,14 @@ class CoefficientMaps:
 
     def channel_abs_sums(self) -> np.ndarray:
         """Sum of |z| per channel, in atom storage order."""
-        if self.mode == CONVOLUTIONAL:
-            return np.abs(self.maps).sum(axis=(1, 2))
-        return np.abs(self.maps).sum(axis=(0, 1))
+        return np.abs(self.maps).sum(axis=(1, 2))
 
     @classmethod
     def zeros(cls, mode: str, atom_count: int, atom_side: int, grid_shape) -> "CoefficientMaps":
         h, w = grid_shape
-        if mode == CONVOLUTIONAL:
-            maps = np.zeros((atom_count, h, w))
-        else:
-            _check_divisible(grid_shape, atom_side)
-            maps = np.zeros((h // atom_side, w // atom_side, atom_count))
-        return cls(mode, maps, (h, w))
+        k = atom_side if mode == PATCH else 1
+        _check_divisible(grid_shape, k)
+        return cls(mode, np.zeros((atom_count, h // k, w // k)), (h, w))
 
 
 def _check_divisible(grid_shape, k: int):
@@ -278,7 +273,12 @@ class ConvSynthesis:
 
 
 class PatchSynthesis:
-    """Non-overlapping patch synthesis: stride-k tiling of the grid."""
+    """Non-overlapping patch synthesis: stride-k tiling of the grid.
+
+    Works on tile planes, (k*k, tiles) arrays whose row p holds pixel p of
+    every tile: S z unfolds D^T z and S^T x is D times the planes of x,
+    with D the (m, k*k) flat atoms and z the (m, tiles) view of the maps.
+    """
 
     mode = PATCH
 
@@ -287,34 +287,32 @@ class PatchSynthesis:
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
         _check_divisible(self.grid_shape, dict_.atom_side)
         self._flat = dict_.flat()
+        self._tile_grid = tuple(n // dict_.atom_side for n in self.grid_shape)
 
-    def _tiles(self, x: np.ndarray) -> np.ndarray:
-        h, w = self.grid_shape
-        k = self.dict.atom_side
-        return x.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(h // k, w // k, k * k)
+    def _planes(self, x: np.ndarray) -> np.ndarray:
+        (th, tw), k = self._tile_grid, self.dict.atom_side
+        return x.reshape(th, k, tw, k).transpose(1, 3, 0, 2).reshape(k * k, -1)
 
-    def _untile(self, tiles: np.ndarray) -> np.ndarray:
-        h, w = self.grid_shape
+    def _unplane(self, planes: np.ndarray) -> np.ndarray:
         k = self.dict.atom_side
-        return tiles.reshape(h // k, w // k, k, k).swapaxes(1, 2).reshape(h, w)
+        return planes.reshape((k, k) + self._tile_grid).transpose(2, 0, 3, 1).reshape(self.grid_shape)
 
     def apply(self, z: CoefficientMaps) -> np.ndarray:
         if z.mode != PATCH:
             raise ContractError("PatchSynthesis needs patch coefficients")
         _check_pairing(self.dict, z)
-        h, w = self.grid_shape
-        k = self.dict.atom_side
-        if z.maps.shape[:2] != (h // k, w // k):
+        if z.maps.shape[1:] != self._tile_grid:
             raise ContractError(
-                f"expected one coefficient vector per tile {(h // k, w // k)}, got {z.maps.shape[:2]}"
+                f"expected one coefficient per tile {self._tile_grid}, got {z.maps.shape[1:]}"
             )
-        return self._untile(z.maps @ self._flat)
+        # (z^T D)^T = D^T z; this operand order keeps the tile-major product's rounding.
+        return self._unplane((z.maps.reshape(self.dict.atom_count, -1).T @ self._flat).T)
 
     def adjoint(self, residual: np.ndarray) -> CoefficientMaps:
         residual = np.asarray(residual, dtype=np.float64)
         if residual.shape != self.grid_shape:
             raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
-        maps = self._tiles(residual) @ self._flat.T
+        maps = (self._flat @ self._planes(residual)).reshape((-1,) + self._tile_grid)
         return CoefficientMaps(PATCH, maps, self.grid_shape)
 
     def norm_sq(self) -> float:
@@ -327,10 +325,9 @@ class PatchSynthesis:
         return float(smax * smax)
 
     def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
-        k = self.dict.atom_side
-        r_tiles = self._tiles(np.asarray(residual, dtype=np.float64))
-        grad = 2.0 * np.einsum("tpm,tpq->mq", z.maps, r_tiles)
-        return grad.reshape(self.dict.atom_count, k, k)
+        m, k = self.dict.atom_count, self.dict.atom_side
+        planes = self._planes(np.asarray(residual, dtype=np.float64))
+        return 2.0 * (z.maps.reshape(m, -1) @ planes.T).reshape(m, k, k)
 
     def zeros(self) -> CoefficientMaps:
         return CoefficientMaps.zeros(PATCH, self.dict.atom_count, self.dict.atom_side, self.grid_shape)

@@ -11,7 +11,8 @@ gradient step in z, each with its own step size. The z step is
 The convolutional variant couples through
 :class:`dictolearn.sparse.SynthesisCoupling`; the variant regularizing
 all overlapping patches through ``_OverlapPatchCoupling`` here, which has
-the same interface. The z step bounds are closed forms that need no
+the same interface. Both keep z channel-first: (m, H, W) and
+(m, H+k-1, W+k-1). The z step bounds are closed forms that need no
 safety factor: the spectral bound :meth:`ConvSynthesis.norm_sq` and the
 exact sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The x step uses
 the certified Collatz-Wielandt bound on ||A||^2 of
@@ -140,8 +141,11 @@ class _OverlapPatchCoupling:
 
     Patches are taken at every offset of the zero-padded image, so every
     pixel is covered by exactly k^2 patches; both penalty terms are
-    normalized by that coverage. ``synth`` returns the coverage-averaged
-    patch recomposition, making the x-gradient 2*lambda1*(x - synth(z)).
+    normalized by that coverage. z is (m, H+k-1, W+k-1), one map per atom
+    over the patch positions. Tiles and patches are k^2 planes, row p
+    holding pixel p of every patch; the tiles are D^T z. ``synth`` returns
+    the coverage-averaged patch recomposition, making the x-gradient
+    2*lambda1*(x - synth(z)).
     """
 
     def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
@@ -156,36 +160,30 @@ class _OverlapPatchCoupling:
         self.lz = 2.0 * lambda1 / k ** 2 * PatchSynthesis(dict_, (k, k)).norm_sq()
 
     def z_zero(self):
-        return np.zeros(self.n_pos + (self.m,))
+        return np.zeros((self.m,) + self.n_pos)
 
-    def _patches(self, x):
-        k = self.k
-        padded = np.pad(x, k - 1)
-        win = sliding_window_view(padded, (k, k))
-        return win.reshape(self.n_pos + (k * k,))
+    def _residual(self, x, z):
+        """Tiles D^T z minus the patches of x, as k^2 planes."""
+        patches = sliding_window_view(np.pad(x, self.k - 1), self.n_pos)
+        return self.flat.T @ z.reshape(self.m, -1) - patches.reshape(self.k ** 2, -1)
 
-    def _fold(self, tiles):
+    def synth(self, z):
         k = self.k
-        hp, wp = self.n_pos
+        (hp, wp), (h, w) = self.n_pos, self.grid_shape
+        tiles = self.flat.T @ z.reshape(self.m, -1)
         canvas = np.zeros((hp + k - 1, wp + k - 1))
         for dy in range(k):
             for dx in range(k):
-                canvas[dy:dy + hp, dx:dx + wp] += tiles[:, :, dy * k + dx]
-        return canvas[k - 1:k - 1 + self.grid_shape[0], k - 1:k - 1 + self.grid_shape[1]]
-
-    def synth(self, z):
-        return self._fold(z @ self.flat) / self.k ** 2
+                canvas[dy:dy + hp, dx:dx + wp] += tiles[dy * k + dx].reshape(hp, wp)
+        return canvas[k - 1:k - 1 + h, k - 1:k - 1 + w] / k ** 2
 
     def grad_z(self, x, z, sz):
         scale = 2.0 * self.lambda1 / self.k ** 2
-        return scale * ((z @ self.flat - self._patches(x)) @ self.flat.T)
+        return scale * (self.flat @ self._residual(x, z)).reshape(z.shape)
 
     def value(self, x, z, sz):
-        diff = z @ self.flat - self._patches(x)
+        diff = self._residual(x, z)
         return self.lambda1 / self.k ** 2 * float(np.sum(diff * diff))
-
-    def channel_first(self, z):
-        return np.moveaxis(z, 2, 0)
 
 
 def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing, coupling,
@@ -223,7 +221,7 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
     x, _, z, _ = run.state
     image = ImageGrid(x_lf + x, pixel_spacing)
     if return_coefficients:
-        return image, trace, coupling.channel_first(z)
+        return image, trace, z
     return image, trace
 
 

@@ -6,8 +6,9 @@ norm_sq()``: sigma_max(D)^2 in patch mode (exact), the spectral bound in
 convolutional mode; no safety factor and no power iteration. Its
 :func:`z_step` is the one proximal z-step of both dictionary
 reconstructions in ``recon`` and of FISTA sparse coding, which in patch
-mode runs it on a coupling in Gram form: one (tiles x m)(m x m) product
-per iteration and no apply or adjoint of S.
+mode runs it on a coupling in Gram form: one (m x m)(m x tiles) product
+per iteration and no apply or adjoint of S. Coefficients are channel-first
+in both modes, so every coupling's z is (m, rows, cols).
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -167,8 +168,8 @@ class SynthesisCoupling:
 
     A coupling gives :func:`z_step` everything it needs: the step bound
     ``lz``, the l1 weight, the zero start, the synthesis, the z-gradient
-    and the value of the coupling term, and the channel-first layout of
-    its coefficients.
+    and the value of the coupling term. z is channel-first, (m, rows, cols),
+    in this coupling as in every other.
     """
 
     def __init__(self, dict_: Dictionary, mode: str, grid_shape, lambda1, lambda2):
@@ -190,14 +191,12 @@ class SynthesisCoupling:
         r = x - sz
         return self.lambda1 * float(np.sum(r * r))
 
-    def channel_first(self, z):
-        return z if self.op.mode == "convolutional" else np.moveaxis(z, 2, 0)
-
 
 class _GramCoupling:
-    """Patch-mode coupling for one fixed x: ``z G`` in place of ``S z``, G = D D^T.
+    """Patch-mode coupling for one fixed x: ``G z`` in place of ``S z``, G = D D^T.
 
-    With c = S^T x, the gradient is 2 (zG - c) and the value <z, zG - 2c> + ||x||^2.
+    z is (m, H/k, W/k); ``G z`` multiplies its (m, tiles) view. With
+    c = S^T x, the gradient is 2 (Gz - c) and the value <z, Gz - 2c> + ||x||^2.
     """
 
     def __init__(self, dict_: Dictionary, x: ImageGrid, lam: float):
@@ -212,13 +211,13 @@ class _GramCoupling:
         return np.zeros_like(self.c)
 
     def synth(self, z):
-        return z @ self.gram
+        return (self.gram @ z.reshape(len(z), -1)).reshape(z.shape)
 
-    def grad_z(self, x, z, zg):
-        return 2.0 * (zg - self.c)
+    def grad_z(self, x, z, gz):
+        return 2.0 * (gz - self.c)
 
-    def value(self, x, z, zg):
-        return float(np.vdot(z, zg - 2.0 * self.c)) + self.x_sq
+    def value(self, x, z, gz):
+        return float(np.vdot(z, gz - 2.0 * self.c)) + self.x_sq
 
 
 def z_step(coupling, x, z, sz, scale: float):
@@ -241,7 +240,7 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
 
     Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent`,
     each one :func:`z_step` with l1 weight ``cfg.lam``. Patch mode carries
-    ``(z, z D D^T)`` in Gram form: one adjoint of S per solve, none per
+    ``(z, D D^T z)`` in Gram form: one adjoint of S per solve, none per
     iteration. Convolutional mode carries ``(z, S z)`` through a
     :class:`SynthesisCoupling`: one apply and one adjoint per iteration.
     The objective trace does not rise beyond rounding.

@@ -93,7 +93,7 @@ def test_c01_adjoint_suite():
             lambda v: ConvSynthesis(d, (h, w)).apply(CoefficientMaps("convolutional", v, (h, w))),
             lambda u: ConvSynthesis(d, (h, w)).adjoint(u).maps, z, r))
         hp, wp = k * int(rng.integers(1, 5)), k * int(rng.integers(1, 5))
-        zp = rng.standard_normal((hp // k, wp // k, m))
+        zp = rng.standard_normal((m, hp // k, wp // k))
         rp = rng.standard_normal((hp, wp))
         worst = max(worst, adjoint_rel_err(
             lambda v: PatchSynthesis(d, (hp, wp)).apply(CoefficientMaps("patch", v, (hp, wp))),
@@ -119,7 +119,7 @@ def test_c02_gradient_suite():
             z = CoefficientMaps(mode, rng.standard_normal((m, 8, 8)), (8, 8))
             synth = lambda dd, zz: ConvSynthesis(dd, (8, 8)).apply(zz)
         else:
-            z = CoefficientMaps(mode, rng.standard_normal((2, 2, m)), (8, 8))
+            z = CoefficientMaps(mode, rng.standard_normal((m, 2, 2)), (8, 8))
             synth = lambda dd, zz: PatchSynthesis(dd, (8, 8)).apply(zz)
         x = ImageGrid(rng.standard_normal((8, 8)))
         grad = dict_gradient(d, z, x)

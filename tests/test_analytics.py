@@ -45,6 +45,13 @@ def test_psnr_symmetry_and_validation(rng):
         psnr(a, b, 0.0)
 
 
+@pytest.mark.parametrize("data_range", [0.0, -1.0, float("nan")])
+def test_ssim_rejects_nonpositive_data_range(data_range):
+    zero = ImageGrid(np.zeros((16, 16)))
+    with pytest.raises(ContractError):
+        ssim(zero, ImageGrid(np.zeros((16, 16))), data_range)
+
+
 def test_ssim_identical_images(rng):
     a = ImageGrid(rng.random((32, 32)))
     assert ssim(a, ImageGrid(a.values.copy()), 1.0) == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,30 @@ def test_reconstruct_dict_trace_monotone(tmp_path):
     assert np.all(np.diff(obj) <= 1e-8 * abs(obj[0]))
     coeff, _ = read_grid(out / "coefficients.dlgrid")
     assert coeff.shape == (6 * 32, 32)
+
+
+def test_dict_patch_coefficients_are_ranked_by_atoms(tmp_path):
+    # dict-patch z has one map per atom over the 32 + 4 - 1 patch positions.
+    sim = simulate(tmp_path)
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, Dictionary.random(6, 4, 3))
+    out = tmp_path / "recp"
+    assert run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
+               "--dictionary", dict_path, "--method", "dict-patch",
+               "--grid-size", 32, "--lambda1", 100, "--lambda2", 0.05,
+               "--iters", 5, "--out", out, "--save-coefficients") == 0
+    coeff, _ = read_grid(out / "coefficients.dlgrid")
+    assert coeff.shape == (6 * 35, 35)
+    sums = np.abs(coeff).reshape(6, 35, 35).sum(axis=(1, 2))
+    assert np.count_nonzero(sums) > 0
+    ranked = tmp_path / "atoms"
+    assert run("atoms", "--dictionary", dict_path,
+               "--coefficients", out / "coefficients.dlgrid", "--out", ranked) == 0
+    with open(ranked / "significance.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    order = [int(r["atom_index"]) for r in rows]
+    np.testing.assert_array_equal(order, np.lexsort((np.arange(6), -sums)))
+    np.testing.assert_allclose([float(r["score"]) for r in rows], sums[order], rtol=1e-12)
 
 
 def test_evaluate_identical_inputs(tmp_path):
@@ -413,11 +440,16 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("train", ["--lowpass-cutoff", 2], cli.EXIT_CONTRACT),
     ("train", ["--adjust-constant", -1], cli.EXIT_CONTRACT),
     ("train", ["--initial-lambda", -5], cli.EXIT_CONTRACT),
+    ("train", ["--learning-rate", -1e-3], cli.EXIT_CONTRACT),
+    ("train", ["--beta1", 1], cli.EXIT_CONTRACT),
+    ("train", ["--beta2", 1], cli.EXIT_CONTRACT),
+    ("train", ["--epsilon", 0], cli.EXIT_CONTRACT),
     ("verify-elbo", ["--count", 0], cli.EXIT_CONFIG),
     ("verify-elbo", ["--count", -1], cli.EXIT_CONFIG),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
-        "initial-lambda", "count-zero", "count-negative"])
+        "initial-lambda", "learning-rate", "beta1", "beta2", "epsilon", "count-zero",
+        "count-negative"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)
@@ -436,3 +468,20 @@ def test_readme_commands_parse():
     assert len(commands) == 7
     for argv in commands:
         cli._options(cli.build_parser().parse_args(argv))
+
+
+def test_make_dataset_script_writes_phantoms(tmp_path):
+    # Step 2 of the README pipeline: a directory of phantom grids for train.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "scripts/make_dataset.py", str(tmp_path / "data"),
+                           "--count", "2", "--size", "32"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    paths = sorted((tmp_path / "data").iterdir())
+    assert [p.name for p in paths] == ["phantom0000.dlgrid", "phantom0001.dlgrid"]
+    for path in paths:
+        values, spacing = read_grid(path)
+        assert values.shape == (32, 32)
+        assert spacing == pytest.approx(2.8)
+        assert values.max() > 0

@@ -280,6 +280,14 @@ def test_quadrature_budget_guard():
         log_evidence_quadrature(np.zeros(4), d, params, points=2001)
 
 
+@pytest.mark.parametrize("points, span", [(1, 30.0), (0, 30.0), (11, 0.0), (11, -5.0)])
+def test_quadrature_rejects_bad_grid(points, span):
+    d = Dictionary.random(1, 2, 3)
+    params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=4, m=1)
+    with pytest.raises(ContractError):
+        log_evidence_quadrature(np.zeros(4), d, params, points=points, span=span)
+
+
 def test_params_validation():
     with pytest.raises(ContractError):
         ModelParams(sigma=0.0, b=1.0, b_star=1.0, n=1, m=1)

@@ -121,7 +121,7 @@ def test_synthesize_patch_zero():
 def test_synthesize_patch_single_tile_dense_matmul(rng):
     # One 16x16 tile with 512 atoms: the operator is a plain matrix product.
     d = Dictionary.random(512, 16, 7)
-    z = rng.standard_normal((1, 1, 512))
+    z = rng.standard_normal((512, 1, 1))
     out = PatchSynthesis(d, (16, 16)).apply(CoefficientMaps("patch", z, (16, 16)))
     dense = d.flat().T  # (256, 512)
     np.testing.assert_allclose(out.ravel(), dense @ z.ravel(), rtol=1e-12, atol=1e-13)
@@ -130,14 +130,14 @@ def test_synthesize_patch_single_tile_dense_matmul(rng):
 def test_patch_equals_conv_on_stride_lattice(rng):
     d = Dictionary.random(6, 16, 2)
     k, h, w = 16, 32, 32
-    zp = rng.standard_normal((2, 2, 6))
+    zp = rng.standard_normal((6, 2, 2))
     patch_out = PatchSynthesis(d, (h, w)).apply(CoefficientMaps("patch", zp, (h, w)))
 
     s = (k - 1) // 2
     zc = np.zeros((6, h, w))
     for ty in range(2):
         for tx in range(2):
-            zc[:, ty * k + s, tx * k + s] = zp[ty, tx]
+            zc[:, ty * k + s, tx * k + s] = zp[:, ty, tx]
     conv_out = ConvSynthesis(d, (h, w)).apply(conv_maps(zc, (h, w)))
     np.testing.assert_allclose(patch_out, conv_out, rtol=1e-12, atol=1e-13)
 
@@ -163,7 +163,7 @@ def test_adjoint_identity_conv(rng):
 
 def test_adjoint_identity_patch(rng):
     d = Dictionary.random(5, 4, 13)
-    z = rng.standard_normal((3, 2, 5))
+    z = rng.standard_normal((5, 3, 2))
     r = rng.standard_normal((12, 8))
     err = adjoint_rel_err(
         lambda v: PatchSynthesis(d, (12, 8)).apply(CoefficientMaps("patch", v, (12, 8))),
@@ -196,7 +196,7 @@ def test_dict_gradient_matches_finite_differences(mode, rng):
     if mode == "convolutional":
         z = conv_maps(rng.standard_normal((m, 8, 8)) * (rng.random((m, 8, 8)) < 0.4), (8, 8))
     else:
-        z = CoefficientMaps("patch", rng.standard_normal((2, 2, m)), (6, 6))
+        z = CoefficientMaps("patch", rng.standard_normal((m, 2, 2)), (6, 6))
     shape = z.grid_shape
     x = ImageGrid(rng.standard_normal(shape))
     grad = dict_gradient(d, z, x)
@@ -206,7 +206,7 @@ def test_dict_gradient_matches_finite_differences(mode, rng):
             synth = dense_conv_reference(atoms, z.maps)
         else:
             flat = atoms.reshape(m, k * k)
-            tiles = z.maps @ flat
+            tiles = np.tensordot(z.maps, flat, axes=(0, 0))
             synth = tiles.reshape(2, 2, k, k).swapaxes(1, 2).reshape(shape)
         r = synth - x.values
         return np.sum(r * r)

@@ -17,7 +17,7 @@ from dictolearn.recon import (
     reconstruct_dict_patch,
     reconstruct_huber,
 )
-from dictolearn.sparse import SynthesisCoupling, soft_threshold
+from dictolearn.sparse import SparseCodeConfig, SynthesisCoupling, fista_sparse_code, soft_threshold
 from dictolearn.tomo import (
     AcquisitionGeometry,
     NoiseModel,
@@ -49,6 +49,41 @@ def noisy_problem():
 @pytest.fixture(scope="module")
 def dictionary():
     return Dictionary.random(12, 8, 77)
+
+
+def _layout_problem():
+    # 5 atoms of side 4 on a 12x12 grid: 3x3 tiles, 15x15 patch positions.
+    d = Dictionary.random(5, 4, 41)
+    x = ImageGrid(np.random.default_rng(41).random((12, 12)) * 0.05)
+    return d, x, forward_project(x, AcquisitionGeometry(num_angles=8, num_bins=16,
+                                                        detector_spacing=1.0))
+
+
+LAYOUT_PRODUCERS = {
+    "zeros-conv": (lambda d, x, y: CoefficientMaps.zeros(
+        "convolutional", d.atom_count, d.atom_side, x.shape).maps, 12),
+    "zeros-patch": (lambda d, x, y: CoefficientMaps.zeros(
+        "patch", d.atom_count, d.atom_side, x.shape).maps, 3),
+    "adjoint-conv": (lambda d, x, y: make_synthesis(d, "convolutional", x.shape).adjoint(
+        x.values).maps, 12),
+    "adjoint-patch": (lambda d, x, y: make_synthesis(d, "patch", x.shape).adjoint(
+        x.values).maps, 3),
+    "fista-conv": (lambda d, x, y: fista_sparse_code(
+        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "convolutional")[0].maps, 12),
+    "fista-patch": (lambda d, x, y: fista_sparse_code(
+        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "patch")[0].maps, 3),
+    "reconstruct-dict": (lambda d, x, y: reconstruct_dict(
+        y, d, ReconConfig(iters=2), x.shape, return_coefficients=True)[2], 12),
+    "reconstruct-dict-patch": (lambda d, x, y: reconstruct_dict_patch(
+        y, d, ReconConfig(iters=2), x.shape, return_coefficients=True)[2], 12 + 4 - 1),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_PRODUCERS)
+def test_coefficients_are_channel_first(name):
+    # Every producer of z gives one map per atom: (m, rows, cols).
+    producer, rows = LAYOUT_PRODUCERS[name]
+    assert producer(*_layout_problem()).shape == (5, rows, rows)
 
 
 def test_recon_objective_all_zero():
@@ -240,8 +275,8 @@ def test_stationary_point_is_fixed():
 
 def test_overlap_coupling_derivatives(rng):
     # The x step of _accelerated_recon takes 2 lambda1 (x - synth(z)) as the
-    # x-derivative of value; that holds only if _fold is the exact adjoint
-    # of _patches and every pixel lies in exactly k^2 patches.
+    # x-derivative of value; that holds only if the fold in synth is the exact
+    # adjoint of the patch extraction and every pixel lies in exactly k^2 patches.
     lambda1 = 1.7
     coupling = _OverlapPatchCoupling(Dictionary.random(4, 3, 37), (9, 7), lambda1, 0.3)
     x = rng.standard_normal((9, 7))

@@ -218,7 +218,7 @@ def test_sparse_objective_least_squares_oracle():
     d, x = tiny_patch_instance(19, m=6, k=4)
     D = dense_matrix(d)
     z_ls, *_ = np.linalg.lstsq(D, x, rcond=None)
-    z = CoefficientMaps("patch", z_ls.reshape(1, 1, 6), (4, 4))
+    z = CoefficientMaps("patch", z_ls.reshape(6, 1, 1), (4, 4))
     obj = sparse_objective(d, z, ImageGrid(x.reshape(4, 4)), 0.0)
     resid = float(np.sum((D @ z_ls - x) ** 2))
     assert abs(obj - resid) < 1e-12
@@ -228,7 +228,7 @@ def test_sparse_objective_hand_instance():
     # x equals the first atom, z = e1, lam = 1: exact fit, ||z||_1 = 1.
     d = Dictionary.random(3, 4, 23)
     x = ImageGrid(d.atoms[0])
-    z = np.zeros((1, 1, 3))
+    z = np.zeros((3, 1, 1))
     z[0, 0, 0] = 1.0
     obj = sparse_objective(d, CoefficientMaps("patch", z, (4, 4)), x, 1.0)
     assert abs(obj - 1.0) < 1e-12
