@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import ContractError, CoefficientMaps, Dictionary, ImageGrid
 
@@ -43,10 +43,10 @@ def psnr(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
 
 
 def _gaussian_window(side: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     ax = np.arange(side) - (side - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
 def ssim(a: ImageGrid, b: ImageGrid, data_range: float, window_side: int = 11,
@@ -54,25 +54,26 @@ def ssim(a: ImageGrid, b: ImageGrid, data_range: float, window_side: int = 11,
     """Mean local structural similarity with a Gaussian window.
 
     Local statistics are weighted by an 11x11 ``sigma=1.5`` Gaussian and
-    taken over fully valid windows only (no padding).
+    taken over fully valid windows only (no padding), in two 1-D passes.
     """
     if a.shape != b.shape:
         raise ContractError("images must share a shape")
+    if window_side < 1:
+        raise ContractError("window_side must be at least 1")
+    if not sigma > 0:
+        raise ContractError("sigma must be positive")
     if min(a.shape) < window_side:
         raise ContractError("image smaller than the SSIM window")
     if not data_range > 0:
         raise ContractError("data_range must be positive")
-    win = _gaussian_window(window_side, sigma)
+    g = _gaussian_window(window_side, sigma)
     av, bv = a.values, b.values
-
-    def filt(img):
-        return fftconvolve(img, win, mode="valid")
-
-    mu_a = filt(av)
-    mu_b = filt(bv)
-    var_a = filt(av * av) - mu_a ** 2
-    var_b = filt(bv * bv) - mu_b ** 2
-    cov = filt(av * bv) - mu_a * mu_b
+    planes = np.stack((av, bv, av * av, bv * bv, av * bv))
+    cols = sliding_window_view(planes, window_side, axis=1) @ g
+    mu_a, mu_b, m_aa, m_bb, m_ab = sliding_window_view(cols, window_side, axis=2) @ g
+    var_a = m_aa - mu_a ** 2
+    var_b = m_bb - mu_b ** 2
+    cov = m_ab - mu_a * mu_b
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)

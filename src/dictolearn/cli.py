@@ -10,11 +10,11 @@ Every config key is also a flag with the same name, underscores written
 as dashes (``phantom_size`` and ``--phantom-size``). Option precedence is
 flags over the ``--config`` key=value file over built-in defaults, and
 every value is parsed, by the type of its default, before the run manifest
-(inputs with content hashes, output paths, seed) is written and before any
-work. Booleans accept only 1/0, true/false and yes/no. All randomness
-derives from one ``--seed`` through named sub-streams. Exit codes:
-0 success, 2 configuration, 3 file I/O or format, 4 numeric contract
-violation, 5 verification failure.
+(inputs with content hashes, output paths, seed, library versions) is
+written and before any work. Booleans accept only 1/0, true/false and
+yes/no. All randomness derives from one ``--seed`` through named
+sub-streams. Exit codes: 0 success, 2 configuration, 3 file I/O or format,
+4 numeric contract violation, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 import zlib
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import analytics, elbo, fileio, learn, recon, tomo
 from .operators import CoefficientMaps, ContractError, ImageGrid
@@ -70,6 +72,8 @@ def _write_manifest(out_dir: Path, command: str, args, inputs, outputs, params):
         "seed": args.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "parameters": params,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:

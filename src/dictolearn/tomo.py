@@ -174,21 +174,29 @@ class Projector:
         self._norm_sq = None
 
     def _block(self, a0: int, a1: int) -> ssp.csr_matrix:
-        """Rows of A for angles ``[a0, a1)``, numbered from 0."""
-        rows, cols, data = [], [], []
+        """Rows of A for angles ``[a0, a1)``, numbered from 0.
+
+        A ray's row lists its two taps slab by slab, in column order already
+        for rays that march over rows, which keeps the sort cheap. Two taps
+        with nonzero weights are distinct pixels, so no entry repeats.
+        """
+        counts, cols, data = [], [], []
         nb = self.geom.num_bins
         for a in range(a0, a1):
             idx0, idx1, w0, w1 = _ray_tables(self.geom, self.grid_shape, self.pixel_spacing, a)
-            ray = np.broadcast_to((a - a0) * nb + np.arange(nb), idx0.shape)
-            for idx, w in ((idx0, w0), (idx1, w1)):
-                keep = w != 0.0
-                rows.append(ray[keep])
-                cols.append(idx[keep])
-                data.append(w[keep])
-        return ssp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            idx = np.stack((idx0, idx1), axis=1).reshape(-1, nb).T
+            w = np.stack((w0, w1), axis=1).reshape(-1, nb).T
+            keep = w != 0.0
+            counts.append(np.count_nonzero(keep, axis=1))
+            cols.append(idx[keep])
+            data.append(w[keep])
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        block = ssp.csr_matrix(
+            (np.concatenate(data), np.concatenate(cols), indptr),
             shape=((a1 - a0) * nb, self.grid_shape[0] * self.grid_shape[1]),
-        ).tocsr()
+        )
+        block.sort_indices()
+        return block
 
     def _blocks(self):
         """Yield ``(a0, a1, block, transpose)`` over the angle blocks."""

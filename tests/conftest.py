@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as ssp
 
 from dictolearn.operators import CoefficientMaps, make_synthesis
+from dictolearn.tomo import _ray_tables
 
 
 def dense_conv_reference(atoms: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -96,6 +98,28 @@ def estimate_lipschitz(dict_, grid_shape, mode: str, power_iters: int = 30, seed
         return op.adjoint(r).maps
 
     return power_iteration_norm(fwd, bwd, z0.maps.shape, power_iters, seed)
+
+
+def coo_projector_block(proj, a0: int, a1: int) -> ssp.csr_matrix:
+    """Rows of ``proj``'s matrix for angles ``[a0, a1)``, assembled as COO.
+
+    One (ray, pixel, weight) triplet per nonzero tap, converted by scipy's
+    COO-to-CSR path, which sorts each row and sums any repeated entries.
+    """
+    rows, cols, data = [], [], []
+    nb = proj.geom.num_bins
+    for a in range(a0, a1):
+        idx0, idx1, w0, w1 = _ray_tables(proj.geom, proj.grid_shape, proj.pixel_spacing, a)
+        ray = np.broadcast_to((a - a0) * nb + np.arange(nb), idx0.shape)
+        for idx, w in ((idx0, w0), (idx1, w1)):
+            keep = w != 0.0
+            rows.append(ray[keep])
+            cols.append(idx[keep])
+            data.append(w[keep])
+    return ssp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=((a1 - a0) * nb, proj.grid_shape[0] * proj.grid_shape[1]),
+    ).tocsr()
 
 
 @pytest.fixture

@@ -52,6 +52,15 @@ def test_ssim_rejects_nonpositive_data_range(data_range):
         ssim(zero, ImageGrid(np.zeros((16, 16))), data_range)
 
 
+@pytest.mark.parametrize("window_side, sigma", [
+    (0, 1.5), (-1, 1.5), (11, 0.0), (11, -1.0), (11, float("nan")),
+])
+def test_ssim_rejects_bad_window(window_side, sigma):
+    zero = ImageGrid(np.zeros((16, 16)))
+    with pytest.raises(ContractError):
+        ssim(zero, ImageGrid(np.zeros((16, 16))), 1.0, window_side=window_side, sigma=sigma)
+
+
 def test_ssim_identical_images(rng):
     a = ImageGrid(rng.random((32, 32)))
     assert ssim(a, ImageGrid(a.values.copy()), 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -65,27 +74,34 @@ def test_ssim_anticorrelation_negative():
     assert ssim(ImageGrid(v), ImageGrid(-v), 2.0) < 0
 
 
-def test_ssim_single_window_direct_formula(rng):
-    a = rng.random((11, 11))
-    b = rng.random((11, 11))
-    data_range = 1.0
-    got = ssim(ImageGrid(a), ImageGrid(b), data_range)
-
-    ax = np.arange(11) - 5.0
-    g = np.exp(-(ax ** 2) / (2 * 1.5 ** 2))
+@pytest.mark.parametrize("shape, kwargs", [
+    pytest.param((11, 11), {}, id="single-window-defaults"),
+    pytest.param((23, 17), {"window_side": 7, "sigma": 1.0}, id="non-square"),
+])
+def test_ssim_matches_bruteforce_windows(shape, kwargs, rng):
+    # The 2-D weighted-window formula at every fully valid position,
+    # against the separable passes.
+    a = rng.random(shape)
+    b = rng.random(shape)
+    side, sigma, data_range = kwargs.get("window_side", 11), kwargs.get("sigma", 1.5), 1.0
+    ax = np.arange(side) - (side - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2 * sigma ** 2))
     win = np.outer(g, g)
     win /= win.sum()
-    # A single fully valid window: the flipped-kernel convolution at the
-    # center equals a plain weighted sum for this symmetric window.
-    mu_a = np.sum(win * a)
-    mu_b = np.sum(win * b)
-    var_a = np.sum(win * a * a) - mu_a ** 2
-    var_b = np.sum(win * b * b) - mu_b ** 2
-    cov = np.sum(win * a * b) - mu_a * mu_b
     c1, c2 = (0.01 * data_range) ** 2, (0.03 * data_range) ** 2
-    expected = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
-                / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
-    assert got == pytest.approx(expected, abs=1e-10)
+    values = []
+    for r in range(shape[0] - side + 1):
+        for c in range(shape[1] - side + 1):
+            pa = a[r:r + side, c:c + side]
+            pb = b[r:r + side, c:c + side]
+            mu_a, mu_b = np.sum(win * pa), np.sum(win * pb)
+            var_a = np.sum(win * pa * pa) - mu_a ** 2
+            var_b = np.sum(win * pb * pb) - mu_b ** 2
+            cov = np.sum(win * pa * pb) - mu_a * mu_b
+            values.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                          / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
+    got = ssim(ImageGrid(a), ImageGrid(b), data_range, **kwargs)
+    assert got == pytest.approx(np.mean(values), abs=1e-13)
 
 
 def test_ssim_symmetry(rng):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from dictolearn import cli
 from dictolearn.fileio import read_dictionary, read_grid, write_dictionary, write_grid
@@ -48,6 +50,8 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 7
     assert len(manifest["outputs"]) == 4
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
     values, spacing = read_grid(out / "phantom.dlgrid")
     assert values.shape == (32, 32)
     # zero phantom -> zero clean sinogram holds by linearity; spot-check scale

@@ -1,7 +1,13 @@
-"""Export lists name only what exists, so a deleted function cannot linger in one."""
+"""Export lists name only what exists, so a deleted function cannot linger in one.
+
+Importing the package also stays cheap: every CLI process pays for it.
+"""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +32,14 @@ def test_package_imports_are_exported():
             exported = importlib.import_module(f"dictolearn.{node.module}").__all__
             unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert unlisted == []
+
+
+@pytest.mark.parametrize("module", ["dictolearn", "dictolearn.cli"])
+def test_import_loads_no_signal_or_stats(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "[]"

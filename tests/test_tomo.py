@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse as ssp
 from scipy import stats
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -24,7 +25,7 @@ from dictolearn.tomo import (
     linearize,
     simulate_counts,
 )
-from conftest import adjoint_rel_err
+from conftest import adjoint_rel_err, coo_projector_block
 
 
 PAR = AcquisitionGeometry(num_angles=24, num_bins=40, detector_spacing=1.0)
@@ -137,6 +138,38 @@ def test_kept_matrix_is_stacked_blocks(monkeypatch):
     whole = proj._block(0, PAR.num_angles)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(proj.matrix, attr), getattr(whole, attr))
+
+
+ODD = AcquisitionGeometry(num_angles=37, num_bins=45, detector_spacing=1.0)
+
+
+@pytest.mark.parametrize("geom, grid_shape, spacing", [
+    pytest.param(AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8),
+                 (128, 128), 2.8, id="desk"),
+    pytest.param(ODD, (20, 28), 1.0, id="odd"),
+])
+def test_matrix_matches_coo_assembly(geom, grid_shape, spacing):
+    proj = Projector(geom, grid_shape, spacing)
+    ref = ssp.vstack([coo_projector_block(proj, *span) for span in proj._spans], format="csr")
+    if geom is ODD:
+        # The detector is wider than the grid's diagonal, so edge rays miss.
+        assert np.any(np.diff(ref.indptr) == 0)
+    for got, want in ((proj.matrix, ref), (proj._matrix_t, ref.T.tocsr())):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_rebuilt_blocks_match_kept_matrix_bitwise(rng, monkeypatch):
+    kept = Projector(ODD, (20, 28), 1.0)
+    monkeypatch.setattr(tomo, "_SPARSE_NNZ_BUDGET", 0)
+    rebuilt = Projector(ODD, (20, 28), 1.0)
+    # One block holds all 37 angles, so its adjoint adds the rays of each
+    # pixel in the kept transpose's order.
+    assert rebuilt.matrix is None and len(rebuilt._spans) == 1
+    x = rng.standard_normal((20, 28))
+    s = rng.standard_normal(ODD.shape)
+    assert np.array_equal(rebuilt.forward(x), kept.forward(x))
+    assert np.array_equal(rebuilt.adjoint(s), kept.adjoint(s))
 
 
 def test_projector_build_memory_peak():
