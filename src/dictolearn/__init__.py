@@ -18,14 +18,12 @@ from .sparse import (
     sparse_objective,
 )
 from .tomo import (
-    MU_WATER,
     AcquisitionGeometry,
     NoiseModel,
     Sinogram,
     data_loss_and_gradient,
     fbp,
     forward_project,
-    hounsfield_to_attenuation,
     likelihood_weights,
     linearize,
     simulate_counts,
@@ -42,7 +40,6 @@ from .learn import (
 from .recon import (
     HuberConfig,
     ReconConfig,
-    recon_objective,
     reconstruct_dict,
     reconstruct_dict_patch,
     reconstruct_huber,

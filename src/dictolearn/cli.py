@@ -10,10 +10,10 @@ Every config key is also a flag with the same name, underscores written
 as dashes (``phantom_size`` and ``--phantom-size``). Option precedence is
 flags over the ``--config`` key=value file over built-in defaults, and
 every value is parsed, by the type of its default, before the run manifest
-(inputs with content hashes, output paths, seed, library versions) is
-written and before any work. Booleans accept only 1/0, true/false and
-yes/no. All randomness derives from one ``--seed`` through named
-sub-streams. Exit codes: 0 success, 2 configuration, 3 file I/O or format,
+(inputs with content hashes, output paths, seed, every option in effect,
+library versions) is written and before any work. Booleans accept only
+1/0, true/false and yes/no. All randomness derives from one ``--seed``
+through named sub-streams. Exit codes: 0 success, 2 configuration, 3 file I/O or format,
 4 numeric contract violation, 5 verification failure.
 """
 
@@ -63,22 +63,29 @@ def _blob_hash(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args, inputs, outputs, params):
+# Parsed arguments that are not run parameters: the dispatch, and the
+# fields the manifest records on their own.
+_NOT_PARAMETERS = ("func", "table", "command", "config", "seed", "out")
+
+
+def _write_manifest(args, opt: dict, inputs, outputs):
+    """Record the run: every option in effect and the command's own flags."""
+    out_dir = Path(args.out)
+    flags = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": str(args.config) if args.config else None,
         "inputs": {str(p): _blob_hash(Path(p)) for p in inputs},
         "outputs": [str(out_dir / o) for o in outputs],
         "seed": args.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "parameters": params,
+        "parameters": {**flags, **opt},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
 
 
 # One table per command: every key is a config-file key and a
@@ -154,6 +161,8 @@ def _parse(key: str, raw: str, default):
             value = _BOOLS[raw.strip().lower()]
         elif isinstance(default, tuple):
             value = tuple(float(v) for v in raw.split(",") if v.strip())
+            if not value:
+                raise ValueError("empty grid")
         else:
             value = type(default)(raw)
     except (KeyError, ValueError):
@@ -197,9 +206,7 @@ def cmd_simulate(args, opt) -> int:
     noise = tomo.NoiseModel(opt["incident_photons"], _substream(args.seed, "simulate"))
 
     outputs = ["phantom.dlgrid", "clean_sinogram.dlgrid", "counts.dlgrid", "sinogram.dlgrid"]
-    _write_manifest(out, "simulate", args, [], outputs,
-                    {"phantom": opt["phantom"], "size": n,
-                     "incident_photons": noise.incident_photons})
+    _write_manifest(args, opt, [], outputs)
 
     clean = tomo.forward_project(phantom, geom)
     counts = tomo.simulate_counts(phantom, geom, noise)
@@ -236,9 +243,7 @@ def cmd_train(args, opt) -> int:
     geom = _geometry(opt) if opt["remove_low_frequency"] else None
 
     outputs = ["dictionary.dldict", "train_log.csv"]
-    _write_manifest(out, "train", args, paths, outputs,
-                    {"atom_count": cfg.atom_count, "atom_side": cfg.atom_side,
-                     "steps": cfg.steps, "images": len(dataset)})
+    _write_manifest(args, opt, paths, outputs)
 
     dictionary, log = learn.train_dictionary(dataset, cfg, geom, opt["lowpass_cutoff"])
     fileio.write_dictionary(out / "dictionary.dldict", dictionary)
@@ -275,8 +280,7 @@ def cmd_reconstruct(args, opt) -> int:
     outputs = ["recon.dlgrid", "trace.csv"]
     if args.save_coefficients and needs_dict:
         outputs.append("coefficients.dlgrid")
-    _write_manifest(out, "reconstruct", args, inputs, outputs,
-                    {"method": method, "grid_size": n})
+    _write_manifest(args, opt, inputs, outputs)
 
     trace_rows = None
     coeffs = None
@@ -322,10 +326,9 @@ def _metrics(recon_img: ImageGrid, truth: ImageGrid, data_range=None):
 
 def cmd_evaluate(args, opt) -> int:
     out = Path(args.out)
-    _write_manifest(out, "evaluate", args, [args.recon, args.truth], ["metrics.csv"], {})
-    recon_img = fileio.load_image(args.recon)
-    truth = fileio.load_image(args.truth)
-    report = _metrics(recon_img, truth, args.data_range)
+    report = _metrics(fileio.load_image(args.recon), fileio.load_image(args.truth),
+                      args.data_range)
+    _write_manifest(args, opt, [args.recon, args.truth], ["metrics.csv"])
     with open(out / "metrics.csv", "w") as fh:
         fh.write("psnr,ssim\n")
         fh.write(f"{report.psnr!r},{report.ssim!r}\n")
@@ -339,12 +342,13 @@ def cmd_sweep(args, opt) -> int:
     truth = fileio.load_image(args.truth)
     dictionary = fileio.read_dictionary(args.dictionary)
     n, spacing = opt["grid_size"], opt["pixel_spacing"]
+    if truth.shape != (n, n):
+        raise ContractError(f"truth shape {truth.shape} != grid {(n, n)}")
     grid = [recon.ReconConfig(lambda1=lam1, lambda2=lam2, iters=opt["iters"],
                               lowpass_cutoff=opt["lowpass_cutoff"])
             for lam1 in opt["lambda1_grid"] for lam2 in opt["lambda2_grid"]]
 
-    _write_manifest(out, "sweep", args, [args.sinogram, args.truth, args.dictionary],
-                    ["sweep.csv"], {"lambda1": opt["lambda1_grid"], "lambda2": opt["lambda2_grid"]})
+    _write_manifest(args, opt, [args.sinogram, args.truth, args.dictionary], ["sweep.csv"])
 
     rows = []
     for cfg in grid:
@@ -388,9 +392,7 @@ def cmd_verify_elbo(args, opt) -> int:
             x = d @ z + rng.normal(0.0, params.sigma, size=params.n)
             samples.append(x)
 
-    _write_manifest(out, "verify-elbo", args, inputs, ["elbo_report.csv"],
-                    {"sigma": args.sigma, "b": args.b, "b_star": args.b_star,
-                     "samples": len(samples)})
+    _write_manifest(args, opt, inputs, ["elbo_report.csv"])
 
     violations = 0
     with open(out / "elbo_report.csv", "w") as fh:
@@ -418,10 +420,6 @@ def cmd_atoms(args, opt) -> int:
     out = Path(args.out)
     dictionary = fileio.read_dictionary(args.dictionary)
     m = dictionary.atom_count
-    inputs = [args.dictionary] + list(args.coefficients)
-    _write_manifest(out, "atoms", args, inputs, ["atoms.pgm", "significance.csv"],
-                    {"atom_count": m})
-
     sets = []
     for path in args.coefficients:
         values, _ = fileio.read_grid(path)
@@ -434,6 +432,8 @@ def cmd_atoms(args, opt) -> int:
         order, scores = analytics.atom_significance(dictionary, sets)
     else:
         order, scores = np.arange(m), np.zeros(m)
+    _write_manifest(args, opt, [args.dictionary, *args.coefficients],
+                    ["atoms.pgm", "significance.csv"])
 
     fileio.write_pgm16(out / "atoms.pgm", analytics.atom_montage(dictionary, order))
     with open(out / "significance.csv", "w") as fh:

@@ -14,11 +14,13 @@ all overlapping patches through ``_OverlapPatchCoupling`` here, which has
 the same interface. Both keep z channel-first: (m, H, W) and
 (m, H+k-1, W+k-1). The z step bounds are closed forms that need no
 safety factor: the spectral bound :meth:`ConvSynthesis.norm_sq` and the
-exact sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The x step uses
-the certified Collatz-Wielandt bound on ||A||^2 of
-:meth:`Projector.norm_sq`, again with no safety factor. The
-overlapping-patch variant normalizes its per-patch terms by the patch
-coverage, so its z = 0 path coincides with the convolutional one.
+exact sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The data term
+L, its gradient and its step bound are :func:`dictolearn.tomo.data_loss`,
+``data_gradient`` and ``data_lipschitz``, which the Huber baseline uses
+too; the bound rests on the certified ||A||^2 of :meth:`Projector.norm_sq`,
+again with no safety factor. The overlapping-patch variant normalizes its
+per-patch terms by the patch coverage, so its z = 0 path coincides with
+the convolutional one.
 
 Both methods and the Huber baseline run :func:`accelerated_descent`, so
 they share one restart policy. An objective rise beyond rounding restarts
@@ -35,16 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import (CoefficientMaps, ContractError, Dictionary, ImageGrid, PatchSynthesis,
-                        make_synthesis)
+from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis
 from .sparse import SynthesisCoupling, accelerated_descent, z_parts, z_step
-from .tomo import Sinogram, check_cutoff, fbp, get_projector, likelihood_weights
+from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_loss, fbp,
+                   get_projector, likelihood_weights)
 
 __all__ = [
     "ReconConfig",
     "HuberConfig",
     "ReconTrace",
-    "recon_objective",
     "reconstruct_dict",
     "reconstruct_dict_patch",
     "reconstruct_huber",
@@ -124,18 +125,6 @@ class ReconTrace:
                                  repr(self.coupling_term[i]), repr(self.l1_term[i])])
 
 
-def recon_objective(x: ImageGrid, z: CoefficientMaps, y: Sinogram, dict_: Dictionary,
-                    lambda1: float, lambda2: float) -> float:
-    """``L(A(x), y) + lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``."""
-    w = likelihood_weights(y)
-    proj = get_projector(y.geometry, x.shape, x.pixel_spacing)
-    diff = proj.forward(x.values) - y.values
-    op = make_synthesis(dict_, z.mode, x.shape)
-    r = x.values - op.apply(z)
-    return float(np.sum(w * diff * diff) + lambda1 * np.sum(r * r)
-                 + lambda2 * np.sum(np.abs(z.maps)))
-
-
 class _OverlapPatchCoupling:
     """Per-patch coupling over all overlapping k-by-k patches.
 
@@ -195,17 +184,16 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
     y_res = y.values - proj.forward(x_lf)
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
 
-    lx = 2.0 * float(np.max(w)) * proj.norm_sq() + 2.0 * cfg.lambda1
+    lx = data_lipschitz(proj, w) + 2.0 * cfg.lambda1
 
     def objective_parts(x, ax, z, sz):
-        d = ax - y_res
-        return (float(np.sum(w * d * d)),) + z_parts(coupling, x, z, sz)
+        return (data_loss(ax, y_res, w),) + z_parts(coupling, x, z, sz)
 
     # The state carries A(x) and S(z) beside the iterates (x, z), so each
     # step costs one forward and one adjoint of A and of S.
     def step(point, scale):
         xp, axp, zp, szp = point
-        gx = 2.0 * proj.adjoint(w * (axp - y_res)) + 2.0 * cfg.lambda1 * (xp - szp)
+        gx = data_gradient(proj, axp, y_res, w) + 2.0 * cfg.lambda1 * (xp - szp)
         x_new = xp - gx / (scale * lx)
         ax_new = proj.forward(x_new)
         new = (x_new, ax_new) + z_step(coupling, x_new, zp, szp, scale)
@@ -281,9 +269,8 @@ def _huber_slope(values: np.ndarray, gamma: float) -> np.ndarray:
 def _huber_objective(x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndarray,
                      cfg: HuberConfig) -> float:
     """``L(A x, y) + lam * H_gamma(grad x)``, given x and its projection ``ax``."""
-    d = ax - y.values
     gh, gv = image_gradient(x)
-    return float(np.sum(w * d * d)) \
+    return data_loss(ax, y.values, w) \
         + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
 
 
@@ -291,7 +278,7 @@ def _huber_gradient(proj, x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndar
                     cfg: HuberConfig) -> np.ndarray:
     """Gradient in x of :func:`_huber_objective`."""
     gh, gv = image_gradient(x)
-    return 2.0 * proj.adjoint(w * (ax - y.values)) \
+    return data_gradient(proj, ax, y.values, w) \
         + cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
                                            _huber_slope(gv, cfg.gamma))
 
@@ -317,7 +304,7 @@ def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
     w = likelihood_weights(y)
     # ||grad||^2 <= 8 for forward differences; the Huber slope is
     # (1/gamma)-Lipschitz.
-    lip = 2.0 * float(np.max(w)) * proj.norm_sq() + 8.0 * cfg.lam / cfg.gamma
+    lip = data_lipschitz(proj, w) + 8.0 * cfg.lam / cfg.gamma
 
     def step(point, scale):
         xp, axp = point

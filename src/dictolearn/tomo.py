@@ -9,7 +9,9 @@ rebuild each block whenever they apply it.
 The data chain follows the Beer-Lambert law: expected counts
 ``N0 * exp(-A(x))`` per ray, Poisson noise, then log-linearization back to
 line integrals. The Poisson log-likelihood is approximated by a weighted
-least-squares term with weights ``w_i = exp(-y_i)``.
+least-squares term with weights ``w_i = exp(-y_i)``. Every reconstruction
+takes that term, its gradient and its step bound from :func:`data_loss`,
+:func:`data_gradient` and :func:`data_lipschitz`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from scipy import sparse as ssp
 from .operators import ContractError, ImageGrid
 
 __all__ = [
-    "MU_WATER",
     "AcquisitionGeometry",
     "Sinogram",
     "NoiseModel",
@@ -35,13 +36,11 @@ __all__ = [
     "simulate_counts",
     "linearize",
     "likelihood_weights",
+    "data_loss",
+    "data_gradient",
+    "data_lipschitz",
     "data_loss_and_gradient",
-    "hounsfield_to_attenuation",
-    "attenuation_to_hounsfield",
 ]
-
-# X-ray attenuation of water at 70 keV, 1/mm.
-MU_WATER = 0.0192
 
 # Above this estimated nonzero count a projector keeps no weight matrix.
 _SPARSE_NNZ_BUDGET = 25_000_000
@@ -366,6 +365,23 @@ def likelihood_weights(y: Sinogram) -> np.ndarray:
     return np.exp(-y.values)
 
 
+def data_loss(ax: np.ndarray, target: np.ndarray, w: np.ndarray) -> float:
+    """Weighted least-squares data term ``sum_i w_i (ax_i - target_i)^2``."""
+    d = ax - target
+    return float(np.sum(w * d * d))
+
+
+def data_gradient(proj: Projector, ax: np.ndarray, target: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`data_loss` in the image, ``2 A^T(w * (ax - target))``."""
+    return 2.0 * proj.adjoint(w * (ax - target))
+
+
+def data_lipschitz(proj: Projector, w: np.ndarray) -> float:
+    """Step bound of :func:`data_gradient`: ``2 max(w) ||A||^2``, with ||A||^2 certified."""
+    return 2.0 * float(np.max(w)) * proj.norm_sq()
+
+
 def data_loss_and_gradient(x: ImageGrid, y: Sinogram,
                            weights: np.ndarray | None = None):
     """Weighted least-squares data term and its gradient.
@@ -376,17 +392,6 @@ def data_loss_and_gradient(x: ImageGrid, y: Sinogram,
     if weights is None:
         weights = likelihood_weights(y)
     proj = get_projector(y.geometry, x.shape, x.pixel_spacing)
-    diff = proj.forward(x.values) - y.values
-    loss = float(np.sum(weights * diff * diff))
-    grad = 2.0 * proj.adjoint(weights * diff)
-    return loss, x.like(grad)
-
-
-def hounsfield_to_attenuation(hu_values: np.ndarray, mu_water: float = MU_WATER) -> np.ndarray:
-    """Rescale Hounsfield units by ``mu_water / 1000`` to attenuation (1/mm)."""
-    return np.asarray(hu_values, dtype=np.float64) * (mu_water / 1000.0)
-
-
-def attenuation_to_hounsfield(att_values: np.ndarray, mu_water: float = MU_WATER) -> np.ndarray:
-    """Inverse of :func:`hounsfield_to_attenuation`."""
-    return np.asarray(att_values, dtype=np.float64) * (1000.0 / mu_water)
+    ax = proj.forward(x.values)
+    return (data_loss(ax, y.values, weights),
+            x.like(data_gradient(proj, ax, y.values, weights)))

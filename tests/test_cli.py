@@ -397,8 +397,12 @@ def _command_argv(command, tmp_path):
         return ["train", "--data", _train_data(tmp_path), "--atom-count", 4, "--atom-side", 4,
                 "--crop-size", 16, "--target-sparsity", 4, "--validation-interval", 1]
     sim = simulate(tmp_path)
+    if command == "evaluate":
+        return ["evaluate", "--recon", sim / "phantom.dlgrid", "--truth", sim / "phantom.dlgrid"]
     dict_path = tmp_path / "d.dldict"
     write_dictionary(dict_path, Dictionary.random(4, 3, 1))
+    if command == "atoms":
+        return ["atoms", "--dictionary", dict_path]
     if command == "verify-elbo":
         return ["verify-elbo", "--dictionary", dict_path, "--sigma", 0.3,
                 "--b", 0.4, "--b-star", 0.05, "--count", 1]
@@ -450,17 +454,39 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("train", ["--epsilon", 0], cli.EXIT_CONTRACT),
     ("verify-elbo", ["--count", 0], cli.EXIT_CONFIG),
     ("verify-elbo", ["--count", -1], cli.EXIT_CONFIG),
+    ("sweep", ["--lambda1-grid", ""], cli.EXIT_CONFIG),
+    ("sweep", ["--lambda2-grid", ""], cli.EXIT_CONFIG),
+    ("sweep", ["--truth", "bad.dlgrid"], cli.EXIT_CONTRACT),
+    ("evaluate", ["--data-range", -1], cli.EXIT_CONTRACT),
+    ("evaluate", ["--recon", "bad.dlgrid"], cli.EXIT_CONTRACT),
+    ("atoms", ["--coefficients", "bad.dlgrid"], cli.EXIT_CONFIG),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
         "initial-lambda", "learning-rate", "beta1", "beta2", "epsilon", "count-zero",
-        "count-negative"])
+        "count-negative", "sweep-empty-grid", "sweep-empty-lambda2-grid", "sweep-truth-shape",
+        "data-range", "shape-mismatch", "coefficient-rows"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.dldict").write_bytes(b"not a dictionary")
+    # 5 x 32: not the 32 x 32 phantom's shape, and 5 rows for 4 atoms.
+    write_grid(tmp_path / "bad.dlgrid", np.zeros((5, 32)), 1.0)
     out = tmp_path / "out"
     assert run(*_command_argv(command, tmp_path), *extra, "--out", out) == code
     assert not out.exists()
+
+
+def test_manifest_records_every_option_in_effect(tmp_path):
+    sim = simulate(tmp_path)
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--method", "fbp",
+               "--fbp-cutoff", 0.5, "--grid-size", 32, "--out", out) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["fbp_cutoff"] == 0.5
+    assert params["method"] == "fbp"
+    assert params["lambda1"] == cli.RECONSTRUCT["lambda1"] == 50.0
+    assert set(params) == set(cli.RECONSTRUCT) | {"sinogram", "dictionary", "method",
+                                                  "save_coefficients"}
 
 
 def test_readme_commands_parse():

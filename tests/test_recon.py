@@ -12,7 +12,6 @@ from dictolearn.recon import (
     huber_value,
     image_gradient,
     image_gradient_adjoint,
-    recon_objective,
     reconstruct_dict,
     reconstruct_dict_patch,
     reconstruct_huber,
@@ -86,52 +85,45 @@ def test_coefficients_are_channel_first(name):
     assert producer(*_layout_problem()).shape == (5, rows, rows)
 
 
-def test_recon_objective_all_zero():
-    geom = AcquisitionGeometry(num_angles=4, num_bins=8, detector_spacing=1.0)
-    x = ImageGrid(np.zeros((8, 8)))
-    z = CoefficientMaps.zeros("convolutional", 2, 3, (8, 8))
-    d = Dictionary.random(2, 3, 1)
-    y = Sinogram(np.zeros(geom.shape), geom)
-    assert recon_objective(x, z, y, d, 1.0, 1.0) == 0.0
-
-
-def test_recon_objective_zero_coefficients_decomposition(rng):
-    geom = AcquisitionGeometry(num_angles=6, num_bins=10, detector_spacing=1.0)
-    x = ImageGrid(rng.random((8, 8)) * 0.1)
-    d = Dictionary.random(2, 3, 2)
-    z = CoefficientMaps.zeros("convolutional", 2, 3, (8, 8))
-    y = Sinogram(rng.random(geom.shape) * 0.1, geom)
-    w = likelihood_weights(y)
-    diff = forward_project(x, geom).values - y.values
-    expected = float(np.sum(w * diff * diff)) + 5.0 * float(np.sum(x.values ** 2))
-    assert abs(recon_objective(x, z, y, d, 5.0, 3.0) - expected) < 1e-12 * max(expected, 1.0)
-
-
-def test_recon_objective_term_by_term(rng):
-    geom = AcquisitionGeometry(num_angles=6, num_bins=10, detector_spacing=1.0)
-    x = ImageGrid(rng.standard_normal((8, 8)) * 0.05)
-    d = Dictionary.random(2, 3, 4)
-    z = CoefficientMaps("convolutional", rng.standard_normal((2, 8, 8)) * 0.01, (8, 8))
-    y = Sinogram(rng.standard_normal(geom.shape) * 0.1, geom)
-    lam1, lam2 = 7.0, 0.3
-    # Independent recomputation of each term.
-    w = np.exp(-y.values)
-    ax = forward_project(x, geom).values
-    op = make_synthesis(d, "convolutional", (8, 8))
-    coupling = x.values - op.apply(z)
-    expected = (np.sum(w * (ax - y.values) ** 2)
-                + lam1 * np.sum(coupling ** 2)
-                + lam2 * np.sum(np.abs(z.maps)))
-    got = recon_objective(x, z, y, d, lam1, lam2)
-    assert abs(got - expected) <= 1e-12 * max(abs(expected), 1.0)
-
-
 def test_reconstruct_dict_huge_lambda2_kills_coefficients(noisy_problem, dictionary):
     _, y = noisy_problem
     cfg = ReconConfig(lambda1=100.0, lambda2=1e9, iters=25, lowpass_cutoff=0.10, seed=0)
     _, trace = reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
     assert max(trace.l1_term) == 0.0
     assert trace.data_term[-1] <= trace.data_term[0]
+
+
+@pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
+def test_trace_reports_the_minimized_objective(solver, noisy_problem, dictionary):
+    # The last trace entry, recomputed term by term from the returned image
+    # and z with independent formulas: the data term on A(image) - y by
+    # linearity, and the coupling on the high-pass part of the image.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=20, lowpass_cutoff=0.10)
+    image, trace, z = solver(y, dictionary, cfg, (N, N), SPACING, return_coefficients=True)
+    proj = get_projector(GEOM, (N, N), SPACING)
+    d = proj.forward(image.values) - y.values
+    data = np.sum(np.exp(-y.values) * d * d)
+    x_hf = image.values - tomo.fbp(y, (N, N), SPACING, window="hann",
+                                   cutoff=cfg.lowpass_cutoff).values
+    k = dictionary.atom_side
+    if solver is reconstruct_dict:
+        synth = ConvSynthesis(dictionary, (N, N)).apply(
+            CoefficientMaps("convolutional", z, (N, N)))
+        coupling = cfg.lambda1 * np.sum((x_hf - synth) ** 2)
+        l1 = cfg.lambda2 * np.sum(np.abs(z))
+    else:
+        padded = np.pad(x_hf, k - 1)
+        coupling = 0.0
+        for r in range(N + k - 1):
+            for c in range(N + k - 1):
+                tile = np.tensordot(z[:, r, c], dictionary.atoms, axes=1)
+                coupling += np.sum((padded[r:r + k, c:c + k] - tile) ** 2)
+        coupling *= cfg.lambda1 / k ** 2
+        l1 = cfg.lambda2 / k ** 2 * np.sum(np.abs(z))
+    assert np.max(np.abs(z)) > 0
+    expected = data + coupling + l1
+    assert abs(trace.objective[-1] - expected) <= 1e-10 * abs(expected)
 
 
 def test_reconstruct_traces_monotone(noisy_problem, dictionary):

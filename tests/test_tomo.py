@@ -10,17 +10,14 @@ from dictolearn import tomo
 from dictolearn.analytics import psnr, shepp_logan
 from dictolearn.operators import ContractError, ImageGrid
 from dictolearn.tomo import (
-    MU_WATER,
     AcquisitionGeometry,
     NoiseModel,
     Projector,
     Sinogram,
-    attenuation_to_hounsfield,
     data_loss_and_gradient,
     fbp,
     forward_project,
     get_projector,
-    hounsfield_to_attenuation,
     likelihood_weights,
     linearize,
     simulate_counts,
@@ -363,14 +360,6 @@ def test_data_loss_linear_in_weights(rng):
     l1, _ = data_loss_and_gradient(x, y, weights=w)
     l2, _ = data_loss_and_gradient(x, y, weights=2.0 * w)
     assert abs(l2 - 2.0 * l1) < 1e-10 * max(abs(l1), 1.0)
-
-
-def test_hounsfield_rescale_round_trip(rng):
-    hu = rng.uniform(-1000, 2000, size=(16, 16))
-    att = hounsfield_to_attenuation(hu)
-    np.testing.assert_allclose(attenuation_to_hounsfield(att), hu, atol=1e-12 * 2000)
-    assert MU_WATER == 0.0192
-    np.testing.assert_allclose(hounsfield_to_attenuation(np.array([1000.0])), [0.0192])
 
 
 def test_sinogram_shape_validation():
