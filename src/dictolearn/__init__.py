@@ -1,7 +1,6 @@
 """Dictionary learning and dictionary-regularized low-dose CT reconstruction."""
 
 from .operators import (
-    CoefficientMaps,
     ContractError,
     Dictionary,
     ImageGrid,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import ContractError, CoefficientMaps, Dictionary, ImageGrid
+from .operators import ContractError, Dictionary, ImageGrid
 
 __all__ = [
     "MetricReport",
@@ -170,8 +170,9 @@ def random_ellipse_phantom(n: int, seed: int, pixel_spacing: float = 1.0) -> Ima
 def atom_significance(dict_: Dictionary, coefficient_sets):
     """Atoms ordered by total absolute coefficient mass.
 
-    ``score(i)`` sums |z| over channel i across all provided coefficient
-    maps; returns ``(indices, scores)`` with indices sorted by descending
+    Each coefficient set is a channel-first (m, rows, cols) array.
+    ``score(i)`` sums |z| over channel i across all provided sets;
+    returns ``(indices, scores)`` with indices sorted by descending
     score, ties broken by index.
     """
     coefficient_sets = list(coefficient_sets)
@@ -179,9 +180,10 @@ def atom_significance(dict_: Dictionary, coefficient_sets):
         raise ContractError("need at least one coefficient set")
     scores = np.zeros(dict_.atom_count)
     for z in coefficient_sets:
-        if z.channel_count != dict_.atom_count:
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim != 3 or len(z) != dict_.atom_count:
             raise ContractError("coefficient channels do not match the dictionary")
-        scores += z.channel_abs_sums()
+        scores += np.abs(z).sum(axis=(1, 2))
     order = np.lexsort((np.arange(dict_.atom_count), -scores))
     return order, scores[order]
 

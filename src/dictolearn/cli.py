@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from . import analytics, elbo, fileio, learn, recon, tomo
-from .operators import CoefficientMaps, ContractError, ImageGrid
+from .operators import ContractError, ImageGrid
 from .sparse import DivergenceError
 
 __all__ = ["main"]
@@ -198,6 +198,8 @@ def cmd_simulate(args, opt) -> int:
     out = Path(args.out)
     geom = _geometry(opt)
     n, spacing = opt["phantom_size"], opt["pixel_spacing"]
+    if opt["attenuation_scale"] < 0:
+        raise ContractError("attenuation_scale must be >= 0")
     if opt["phantom"] == "shepp-logan":
         phantom = analytics.shepp_logan(n, opt["contrast"], spacing)
     else:
@@ -239,6 +241,7 @@ def cmd_train(args, opt) -> int:
         initial_lambda=lam0 if lam0 != 0 else None,
         seed=_substream(args.seed, "train"),
     )
+    learn.check_crop_size(dataset, cfg.crop_size)
     tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
     geom = _geometry(opt) if opt["remove_low_frequency"] else None
 
@@ -250,11 +253,6 @@ def cmd_train(args, opt) -> int:
     log.write_csv(out / "train_log.csv")
     print(f"train: {cfg.steps} steps on {len(dataset)} images -> {out / 'dictionary.dldict'}")
     return EXIT_OK
-
-
-def _stack_coefficients(maps: np.ndarray) -> np.ndarray:
-    """Channel-first coefficient stack: (m, H, W) -> (m*H, W)."""
-    return maps.reshape(-1, maps.shape[-1])
 
 
 def cmd_reconstruct(args, opt) -> int:
@@ -307,7 +305,9 @@ def cmd_reconstruct(args, opt) -> int:
             for i, v in trace_rows:
                 fh.write(f"{i},{v!r}\n")
     if coeffs is not None:
-        fileio.write_grid(out / "coefficients.dlgrid", _stack_coefficients(coeffs), spacing)
+        # Channel-first stack: (m, rows, cols) -> (m * rows, cols).
+        fileio.write_grid(out / "coefficients.dlgrid", coeffs.reshape(-1, coeffs.shape[-1]),
+                          spacing)
     fileio.save_image(out / "recon.dlgrid", image)
     print(f"reconstruct[{method}]: wrote {out / 'recon.dlgrid'}")
     return EXIT_OK
@@ -365,7 +365,7 @@ def cmd_sweep(args, opt) -> int:
 
 
 def cmd_verify_elbo(args, opt) -> int:
-    if 0 < args.mc_samples < elbo.MC_MIN_SAMPLES:
+    if args.mc_samples != 0 and args.mc_samples < elbo.MC_MIN_SAMPLES:
         raise ContractError(f"--mc-samples must be 0 or at least {elbo.MC_MIN_SAMPLES}")
     if not args.samples_dir and args.count < 1:
         raise ConfigError("--count must be at least 1 without --samples-dir")
@@ -425,9 +425,9 @@ def cmd_atoms(args, opt) -> int:
         values, _ = fileio.read_grid(path)
         if values.shape[0] % m:
             raise ConfigError(f"{path}: rows not divisible by atom count {m}")
-        h = values.shape[0] // m
-        sets.append(CoefficientMaps("convolutional", values.reshape(m, h, values.shape[1]),
-                                    (h, values.shape[1])))
+        if not np.all(np.isfinite(values)):
+            raise ContractError(f"{path}: coefficient entries must be finite")
+        sets.append(values.reshape(m, -1, values.shape[1]))
     if sets:
         order, scores = analytics.atom_significance(dictionary, sets)
     else:

@@ -164,7 +164,7 @@ def posterior_mode(x, dict_: Dictionary, params: ModelParams,
     lam = 2.0 * params.sigma ** 2 / params.b
     cfg = SparseCodeConfig(lam=lam, max_iters=fista_iters)
     z, _ = fista_sparse_code(dict_, ImageGrid(x.reshape(k, k)), cfg, "patch")
-    return z.maps.ravel()
+    return z.ravel()
 
 
 def expected_l1_laplace(center: np.ndarray, scale: float) -> float:

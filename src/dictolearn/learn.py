@@ -34,6 +34,7 @@ __all__ = [
     "remove_low_frequency",
     "adapt_lambda",
     "adam_update",
+    "check_crop_size",
     "train_dictionary",
 ]
 
@@ -180,6 +181,13 @@ def _center_crop(values: np.ndarray, size: int) -> np.ndarray:
     return values[r0:r0 + size, c0:c0 + size]
 
 
+def check_crop_size(dataset, crop_size: int):
+    """Raise :class:`ContractError` unless every image holds a crop_size square."""
+    for img in dataset:
+        if img.height < crop_size or img.width < crop_size:
+            raise ContractError("crop_size exceeds an image in the dataset")
+
+
 def train_dictionary(dataset, cfg: TrainConfig,
                      geom: AcquisitionGeometry | None = None,
                      cutoff_fraction: float = 0.10):
@@ -205,9 +213,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     if not dataset:
         raise ContractError("dataset is empty")
     k = cfg.atom_side
-    for img in dataset:
-        if img.height < cfg.crop_size or img.width < cfg.crop_size:
-            raise ContractError("crop_size exceeds an image in the dataset")
+    check_crop_size(dataset, cfg.crop_size)
 
     rng = np.random.default_rng(cfg.seed)
     dictionary = Dictionary.random(cfg.atom_count, k, int(rng.integers(2 ** 31)))
@@ -236,7 +242,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     if lam is None:
         # 2 ||S^T x||_inf is the threshold above which FISTA returns z = 0;
         # starting at a tenth of it guarantees a nonzero first support.
-        lam = 0.2 * float(np.max(np.abs(op0.adjoint(first_crop).maps)))
+        lam = 0.2 * float(np.max(np.abs(op0.adjoint(first_crop))))
     c = cfg.adjust_constant
     if c is None:
         c = 1e-3 * lam / cfg.target_sparsity
@@ -252,7 +258,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     for step in range(1, cfg.steps + 1):
         crop = random_crop(highpass[int(rng.choice(train_idx))])
         z, _ = code(dictionary, crop, cfg.fista_iters)
-        grad = dict_gradient(dictionary, z, ImageGrid(crop))
+        grad = dict_gradient(dictionary, z, ImageGrid(crop), "patch")
         adam, atoms = adam_update(adam, grad, dictionary.atoms,
                                   cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
@@ -274,10 +280,11 @@ def train_dictionary(dataset, cfg: TrainConfig,
             used = np.zeros(cfg.atom_count, dtype=bool)
             for vc in val_crops:
                 zv, trace = code(dictionary, vc, cfg.fista_iters)
-                thr = SPARSITY_EPS * max(float(np.max(np.abs(zv.maps))), 1e-300)
-                counts.append(zv.nonzero_count(thr))
+                mag = np.abs(zv)
+                thr = SPARSITY_EPS * max(float(np.max(mag)), 1e-300)
+                counts.append(np.count_nonzero(mag > thr))
                 objectives.append(trace[-1])
-                used |= zv.channel_abs_sums() > thr
+                used |= mag.sum(axis=(1, 2)) > thr
             s_hat = float(np.mean(counts))
             lam = adapt_lambda(lam, s_hat, cfg.target_sparsity, c, t_val)
             log.append(TrainRecord(step, lam, s_hat, float(np.mean(objectives)),

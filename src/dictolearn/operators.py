@@ -4,7 +4,10 @@ Two synthesis operators map coefficients to images: a convolutional one
 (sum of per-atom "same"-size convolutions, zero padded) and a patch one
 (non-overlapping k-by-k tiling, equivalent to stride-k convolution).
 Both come with exact numerical adjoints and with the gradient of the
-synthesis residual with respect to the atoms.
+synthesis residual with respect to the atoms. Coefficients are plain
+channel-first arrays, one map per atom, of the shape the operator fixes
+in ``coefficient_shape``: (m, H, W) in convolutional mode, (m, H/k, W/k)
+in patch mode. ``apply`` checks that shape.
 
 Conventions, fixed so the adjoint pairs are exact:
 
@@ -16,7 +19,7 @@ Conventions, fixed so the adjoint pairs are exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -26,7 +29,6 @@ __all__ = [
     "ZeroAtomError",
     "ImageGrid",
     "Dictionary",
-    "CoefficientMaps",
     "ConvSynthesis",
     "PatchSynthesis",
     "make_synthesis",
@@ -137,66 +139,12 @@ class Dictionary:
         return self.atoms.reshape(self.atom_count, -1)
 
 
-@dataclass
-class CoefficientMaps:
-    """Latent coefficients z, bound to a target image shape.
-
-    ``maps`` is channel-first in both modes, one map per atom: (m, H, W)
-    at full resolution in convolutional mode, (m, H//k, W//k) with one
-    entry per non-overlapping k-by-k tile in patch mode.
-    """
-
-    mode: str
-    maps: np.ndarray
-    grid_shape: tuple[int, int]
-
-    def __post_init__(self):
-        if self.mode not in (CONVOLUTIONAL, PATCH):
-            raise ContractError(f"unknown mode {self.mode!r}")
-        self.maps = np.asarray(self.maps, dtype=np.float64)
-        self.grid_shape = (int(self.grid_shape[0]), int(self.grid_shape[1]))
-        if self.maps.ndim != 3:
-            raise ContractError(f"maps must be 3D, got shape {self.maps.shape}")
-        if self.mode == CONVOLUTIONAL and self.maps.shape[1:] != self.grid_shape:
-            raise ContractError(
-                f"convolutional maps {self.maps.shape[1:]} do not match grid {self.grid_shape}"
-            )
-        if not np.all(np.isfinite(self.maps)):
-            raise ContractError("coefficient entries must be finite")
-
-    @property
-    def channel_count(self) -> int:
-        return self.maps.shape[0]
-
-    def nonzero_count(self, threshold: float = 0.0) -> int:
-        """Number of entries with magnitude strictly above ``threshold``."""
-        if threshold < 0:
-            raise ContractError("threshold must be >= 0")
-        return int(np.count_nonzero(np.abs(self.maps) > threshold))
-
-    def channel_abs_sums(self) -> np.ndarray:
-        """Sum of |z| per channel, in atom storage order."""
-        return np.abs(self.maps).sum(axis=(1, 2))
-
-    @classmethod
-    def zeros(cls, mode: str, atom_count: int, atom_side: int, grid_shape) -> "CoefficientMaps":
-        h, w = grid_shape
-        k = atom_side if mode == PATCH else 1
-        _check_divisible(grid_shape, k)
-        return cls(mode, np.zeros((atom_count, h // k, w // k)), (h, w))
-
-
-def _check_divisible(grid_shape, k: int):
-    h, w = grid_shape
-    if h % k or w % k:
-        raise ContractError(f"grid shape {(h, w)} is not divisible into {k}x{k} tiles")
-
-
-def _check_pairing(dict_: Dictionary, z: CoefficientMaps):
-    if z.channel_count != dict_.atom_count:
-        raise ContractError(
-            f"coefficient channels ({z.channel_count}) != atom count ({dict_.atom_count})"
-        )
+def _coefficients(z, shape) -> np.ndarray:
+    """z as a float64 array, checked against the operator's coefficient shape."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != shape:
+        raise ContractError(f"coefficients of shape {z.shape}, operator needs {shape}")
+    return z
 
 
 class ConvSynthesis:
@@ -205,40 +153,35 @@ class ConvSynthesis:
     Atom FFTs and their conjugates are precomputed once, so repeated
     applications inside iterative solvers cost one batched FFT pass each.
     Kept free of per-call state: apply/adjoint are pure given the inputs.
+    Coefficients are (m, H, W): one full-resolution map per atom.
     """
-
-    mode = CONVOLUTIONAL
 
     def __init__(self, dict_: Dictionary, grid_shape):
         self.dict = dict_
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
         h, w = self.grid_shape
         k = dict_.atom_side
+        self.coefficient_shape = (dict_.atom_count, h, w)
         self._anchor = (k - 1) // 2
         self._fshape = (sfft.next_fast_len(h + k - 1), sfft.next_fast_len(w + k - 1))
         self._atom_fft = sfft.rfft2(dict_.atoms, self._fshape)
         self._atom_fft_conj = np.conj(self._atom_fft)
 
-    def apply(self, z: CoefficientMaps) -> np.ndarray:
-        if z.mode != CONVOLUTIONAL:
-            raise ContractError("ConvSynthesis needs convolutional coefficients")
-        _check_pairing(self.dict, z)
-        if z.grid_shape != self.grid_shape:
-            raise ContractError(f"coefficients bound to {z.grid_shape}, operator to {self.grid_shape}")
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        z = _coefficients(z, self.coefficient_shape)
         h, w = self.grid_shape
         s = self._anchor
-        zf = sfft.rfft2(z.maps, self._fshape)
+        zf = sfft.rfft2(z, self._fshape)
         full = sfft.irfft2(np.einsum("cij,cij->ij", zf, self._atom_fft), self._fshape)
         return full[s:s + h, s:s + w]
 
-    def adjoint(self, residual: np.ndarray) -> CoefficientMaps:
+    def adjoint(self, residual: np.ndarray) -> np.ndarray:
         residual = np.asarray(residual, dtype=np.float64)
         if residual.shape != self.grid_shape:
             raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
         h, w = self.grid_shape
         rf = self._residual_spectrum(residual)
-        maps = sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
-        return CoefficientMaps(CONVOLUTIONAL, maps, self.grid_shape)
+        return sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
 
     def _residual_spectrum(self, residual: np.ndarray) -> np.ndarray:
         """rfft2 of the residual, zero-padded to the FFT grid at the atom anchor."""
@@ -260,16 +203,16 @@ class ConvSynthesis:
         f = self._atom_fft
         return float(np.max(np.sum(f.real * f.real + f.imag * f.imag, axis=0)))
 
-    def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
+    def dict_gradient(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """Gradient of ||S(z) - x||^2 in atom coordinates, residual = S(z) - x."""
         k = self.dict.atom_side
         rf = self._residual_spectrum(residual)
-        zf = sfft.rfft2(z.maps, self._fshape)
+        zf = sfft.rfft2(z, self._fshape)
         corr = sfft.irfft2(rf[None] * np.conj(zf), self._fshape)
         return 2.0 * corr[:, :k, :k]
 
-    def zeros(self) -> CoefficientMaps:
-        return CoefficientMaps.zeros(CONVOLUTIONAL, self.dict.atom_count, self.dict.atom_side, self.grid_shape)
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.coefficient_shape)
 
 
 class PatchSynthesis:
@@ -277,17 +220,20 @@ class PatchSynthesis:
 
     Works on tile planes, (k*k, tiles) arrays whose row p holds pixel p of
     every tile: S z unfolds D^T z and S^T x is D times the planes of x,
-    with D the (m, k*k) flat atoms and z the (m, tiles) view of the maps.
+    with D the (m, k*k) flat atoms and z the (m, tiles) view of the
+    coefficients, which are (m, H/k, W/k): one per atom and tile.
     """
-
-    mode = PATCH
 
     def __init__(self, dict_: Dictionary, grid_shape):
         self.dict = dict_
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
-        _check_divisible(self.grid_shape, dict_.atom_side)
+        h, w = self.grid_shape
+        k = dict_.atom_side
+        if h % k or w % k:
+            raise ContractError(f"grid shape {(h, w)} is not divisible into {k}x{k} tiles")
         self._flat = dict_.flat()
-        self._tile_grid = tuple(n // dict_.atom_side for n in self.grid_shape)
+        self._tile_grid = (h // k, w // k)
+        self.coefficient_shape = (dict_.atom_count,) + self._tile_grid
 
     def _planes(self, x: np.ndarray) -> np.ndarray:
         (th, tw), k = self._tile_grid, self.dict.atom_side
@@ -297,23 +243,16 @@ class PatchSynthesis:
         k = self.dict.atom_side
         return planes.reshape((k, k) + self._tile_grid).transpose(2, 0, 3, 1).reshape(self.grid_shape)
 
-    def apply(self, z: CoefficientMaps) -> np.ndarray:
-        if z.mode != PATCH:
-            raise ContractError("PatchSynthesis needs patch coefficients")
-        _check_pairing(self.dict, z)
-        if z.maps.shape[1:] != self._tile_grid:
-            raise ContractError(
-                f"expected one coefficient per tile {self._tile_grid}, got {z.maps.shape[1:]}"
-            )
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        z = _coefficients(z, self.coefficient_shape)
         # (z^T D)^T = D^T z; this operand order keeps the tile-major product's rounding.
-        return self._unplane((z.maps.reshape(self.dict.atom_count, -1).T @ self._flat).T)
+        return self._unplane((z.reshape(self.dict.atom_count, -1).T @ self._flat).T)
 
-    def adjoint(self, residual: np.ndarray) -> CoefficientMaps:
+    def adjoint(self, residual: np.ndarray) -> np.ndarray:
         residual = np.asarray(residual, dtype=np.float64)
         if residual.shape != self.grid_shape:
             raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
-        maps = (self._flat @ self._planes(residual)).reshape((-1,) + self._tile_grid)
-        return CoefficientMaps(PATCH, maps, self.grid_shape)
+        return (self._flat @ self._planes(residual)).reshape(self.coefficient_shape)
 
     def norm_sq(self) -> float:
         """Largest eigenvalue of S^T S: ``sigma_max(D)^2``.
@@ -324,13 +263,13 @@ class PatchSynthesis:
         smax = np.linalg.svd(self._flat, compute_uv=False)[0]
         return float(smax * smax)
 
-    def dict_gradient(self, z: CoefficientMaps, residual: np.ndarray) -> np.ndarray:
+    def dict_gradient(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
         m, k = self.dict.atom_count, self.dict.atom_side
         planes = self._planes(np.asarray(residual, dtype=np.float64))
-        return 2.0 * (z.maps.reshape(m, -1) @ planes.T).reshape(m, k, k)
+        return 2.0 * (z.reshape(m, -1) @ planes.T).reshape(m, k, k)
 
-    def zeros(self) -> CoefficientMaps:
-        return CoefficientMaps.zeros(PATCH, self.dict.atom_count, self.dict.atom_side, self.grid_shape)
+    def zeros(self) -> np.ndarray:
+        return np.zeros(self.coefficient_shape)
 
 
 def make_synthesis(dict_: Dictionary, mode: str, grid_shape):
@@ -342,13 +281,13 @@ def make_synthesis(dict_: Dictionary, mode: str, grid_shape):
     raise ContractError(f"unknown mode {mode!r}")
 
 
-def dict_gradient(dict_: Dictionary, z: CoefficientMaps, x: ImageGrid) -> np.ndarray:
+def dict_gradient(dict_: Dictionary, z: np.ndarray, x: ImageGrid, mode: str) -> np.ndarray:
     """Exact gradient of ``atoms -> ||S(z) - x||^2`` in atom coordinates.
 
-    Works in either coefficient mode; returns an array shaped like
+    Works in either synthesis mode; returns an array shaped like
     ``dict_.atoms``.
     """
-    op = make_synthesis(dict_, z.mode, x.shape)
+    op = make_synthesis(dict_, mode, x.shape)
     residual = op.apply(z) - x.values
     return op.dict_gradient(z, residual)
 

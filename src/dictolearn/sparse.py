@@ -7,8 +7,10 @@ convolutional mode; no safety factor and no power iteration. Its
 :func:`z_step` is the one proximal z-step of both dictionary
 reconstructions in ``recon`` and of FISTA sparse coding, which in patch
 mode runs it on a coupling in Gram form: one (m x m)(m x tiles) product
-per iteration and no apply or adjoint of S. Coefficients are channel-first
-in both modes, so every coupling's z is (m, rows, cols).
+per iteration and no apply or adjoint of S. Coefficients are plain
+channel-first arrays in both modes, so every coupling's z, and the z
+:func:`fista_sparse_code` returns, is an (m, rows, cols) array whose
+shape the synthesis operator fixes.
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -25,7 +27,6 @@ import numpy as np
 
 from .operators import (
     ContractError,
-    CoefficientMaps,
     Dictionary,
     ImageGrid,
     make_synthesis,
@@ -92,11 +93,12 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     return np.subtract(u, out, out=out)
 
 
-def sparse_objective(dict_: Dictionary, z: CoefficientMaps, x: ImageGrid, lam: float) -> float:
-    """``||S(z) - x||^2 + lam * ||z||_1``."""
-    op = make_synthesis(dict_, z.mode, x.shape)
+def sparse_objective(dict_: Dictionary, z: np.ndarray, x: ImageGrid, lam: float,
+                     mode: str) -> float:
+    """``||S(z) - x||^2 + lam * ||z||_1``, S the synthesis of ``mode``."""
+    op = make_synthesis(dict_, mode, x.shape)
     residual = op.apply(z) - x.values
-    return float(np.sum(residual * residual) + lam * np.sum(np.abs(z.maps)))
+    return float(np.sum(residual * residual) + lam * np.sum(np.abs(z)))
 
 
 @dataclass
@@ -179,13 +181,13 @@ class SynthesisCoupling:
         self.lz = 2.0 * lambda1 * self.op.norm_sq()
 
     def z_zero(self):
-        return self.op.zeros().maps
+        return self.op.zeros()
 
     def synth(self, z):
-        return self.op.apply(CoefficientMaps(self.op.mode, z, self.op.grid_shape))
+        return self.op.apply(z)
 
     def grad_z(self, x, z, sz):
-        return 2.0 * self.lambda1 * self.op.adjoint(sz - x).maps
+        return 2.0 * self.lambda1 * self.op.adjoint(sz - x)
 
     def value(self, x, z, sz):
         r = x - sz
@@ -202,7 +204,7 @@ class _GramCoupling:
     def __init__(self, dict_: Dictionary, x: ImageGrid, lam: float):
         op = make_synthesis(dict_, "patch", x.shape)
         self.gram = dict_.flat() @ dict_.flat().T
-        self.c = op.adjoint(x.values).maps
+        self.c = op.adjoint(x.values)
         self.x_sq = float(np.vdot(x.values, x.values))
         self.l1_weight = lam
         self.lz = 2.0 * op.norm_sq()
@@ -247,8 +249,9 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
 
     Returns
     -------
-    (CoefficientMaps, ndarray)
-        The final iterate and the objective value after each iteration.
+    (ndarray, ndarray)
+        The final iterate, channel-first like the operator's
+        ``coefficient_shape``, and the objective value after each iteration.
     """
     if mode == "patch":
         coupling = _GramCoupling(dict_, x, cfg.lam)
@@ -267,4 +270,4 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     except DivergenceError as err:
         err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=coupling.lz / 2.0)
         raise
-    return CoefficientMaps(mode, run.state[0], x.shape), np.array([sum(p) for p in run.parts])
+    return run.state[0], np.array([sum(p) for p in run.parts])

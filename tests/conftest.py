@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse as ssp
 
-from dictolearn.operators import CoefficientMaps, make_synthesis
+from dictolearn.operators import make_synthesis
 from dictolearn.tomo import _ray_tables
 
 
@@ -89,15 +89,7 @@ def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) 
 def estimate_lipschitz(dict_, grid_shape, mode: str, power_iters: int = 30, seed: int = 0) -> float:
     """Power-iteration estimate of the largest eigenvalue of S^T S."""
     op = make_synthesis(dict_, mode, grid_shape)
-    z0 = op.zeros()
-
-    def fwd(v):
-        return op.apply(CoefficientMaps(z0.mode, v, z0.grid_shape))
-
-    def bwd(r):
-        return op.adjoint(r).maps
-
-    return power_iteration_norm(fwd, bwd, z0.maps.shape, power_iters, seed)
+    return power_iteration_norm(op.apply, op.adjoint, op.coefficient_shape, power_iters, seed)
 
 
 def coo_projector_block(proj, a0: int, a1: int) -> ssp.csr_matrix:

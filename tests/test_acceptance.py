@@ -25,7 +25,6 @@ from dictolearn.elbo import (
 )
 from dictolearn.learn import TrainConfig, train_dictionary
 from dictolearn.operators import (
-    CoefficientMaps,
     ConvSynthesis,
     Dictionary,
     ImageGrid,
@@ -90,14 +89,12 @@ def test_c01_adjoint_suite():
         z = rng.standard_normal((m, h, w))
         r = rng.standard_normal((h, w))
         worst = max(worst, adjoint_rel_err(
-            lambda v: ConvSynthesis(d, (h, w)).apply(CoefficientMaps("convolutional", v, (h, w))),
-            lambda u: ConvSynthesis(d, (h, w)).adjoint(u).maps, z, r))
+            ConvSynthesis(d, (h, w)).apply, ConvSynthesis(d, (h, w)).adjoint, z, r))
         hp, wp = k * int(rng.integers(1, 5)), k * int(rng.integers(1, 5))
         zp = rng.standard_normal((m, hp // k, wp // k))
         rp = rng.standard_normal((hp, wp))
         worst = max(worst, adjoint_rel_err(
-            lambda v: PatchSynthesis(d, (hp, wp)).apply(CoefficientMaps("patch", v, (hp, wp))),
-            lambda u: PatchSynthesis(d, (hp, wp)).adjoint(u).maps, zp, rp))
+            PatchSynthesis(d, (hp, wp)).apply, PatchSynthesis(d, (hp, wp)).adjoint, zp, rp))
     elapsed = time.time() - start
     report(1, "adjoint suite", worst < 1e-6 and elapsed < 10.0,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")
@@ -116,13 +113,13 @@ def test_c02_gradient_suite():
         m, k = 2, 4
         d = Dictionary.random(m, k, 5)
         if mode == "convolutional":
-            z = CoefficientMaps(mode, rng.standard_normal((m, 8, 8)), (8, 8))
+            z = rng.standard_normal((m, 8, 8))
             synth = lambda dd, zz: ConvSynthesis(dd, (8, 8)).apply(zz)
         else:
-            z = CoefficientMaps(mode, rng.standard_normal((m, 2, 2)), (8, 8))
+            z = rng.standard_normal((m, 2, 2))
             synth = lambda dd, zz: PatchSynthesis(dd, (8, 8)).apply(zz)
         x = ImageGrid(rng.standard_normal((8, 8)))
-        grad = dict_gradient(d, z, x)
+        grad = dict_gradient(d, z, x, mode)
 
         def objective(atoms):
             dd = Dictionary.__new__(Dictionary)

@@ -14,7 +14,7 @@ from dictolearn.analytics import (
     shepp_logan,
     ssim,
 )
-from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid
+from dictolearn.operators import ContractError, Dictionary, ImageGrid
 
 
 def test_psnr_identical_images_sentinel(rng):
@@ -146,7 +146,7 @@ def test_random_phantom_deterministic():
 
 
 def zeros_maps(m, shape=(6, 6)):
-    return CoefficientMaps.zeros("convolutional", m, 3, shape)
+    return np.zeros((m,) + shape)
 
 
 def test_atom_significance_zero_coefficients_identity_order():
@@ -160,20 +160,19 @@ def test_atom_significance_single_hot_channel():
     d = Dictionary.random(5, 3, 2)
     v = np.zeros((5, 6, 6))
     v[3, 2, 2] = -2.0
-    order, scores = atom_significance(d, [CoefficientMaps("convolutional", v, (6, 6))])
+    order, scores = atom_significance(d, [v])
     assert order[0] == 3
     assert scores[0] == pytest.approx(2.0)
 
 
 def test_atom_significance_matches_bruteforce(rng):
     d = Dictionary.random(4, 3, 3)
-    sets = [CoefficientMaps("convolutional", rng.standard_normal((4, 5, 5)), (5, 5))
-            for _ in range(3)]
+    sets = [rng.standard_normal((4, 5, 5)) for _ in range(3)]
     order, scores = atom_significance(d, sets)
     brute = np.zeros(4)
     for z in sets:
         for i in range(4):
-            brute[i] += np.abs(z.maps[i]).sum()
+            brute[i] += np.abs(z[i]).sum()
     expected_order = np.lexsort((np.arange(4), -brute))
     np.testing.assert_array_equal(order, expected_order)
     np.testing.assert_allclose(scores, brute[expected_order], rtol=1e-13)
@@ -181,7 +180,7 @@ def test_atom_significance_matches_bruteforce(rng):
 
 def test_atom_significance_duplicate_invariance(rng):
     d = Dictionary.random(4, 3, 4)
-    sets = [CoefficientMaps("convolutional", rng.standard_normal((4, 5, 5)), (5, 5))]
+    sets = [rng.standard_normal((4, 5, 5))]
     order1, _ = atom_significance(d, sets)
     order2, _ = atom_significance(d, sets + sets)
     np.testing.assert_array_equal(order1, order2)

@@ -460,17 +460,26 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("evaluate", ["--data-range", -1], cli.EXIT_CONTRACT),
     ("evaluate", ["--recon", "bad.dlgrid"], cli.EXIT_CONTRACT),
     ("atoms", ["--coefficients", "bad.dlgrid"], cli.EXIT_CONFIG),
+    ("train", ["--crop-size", 64], cli.EXIT_CONTRACT),
+    ("simulate", ["--attenuation-scale", -10], cli.EXIT_CONTRACT),
+    ("verify-elbo", ["--mc-samples", -5], cli.EXIT_CONTRACT),
+    ("atoms", ["--coefficients", "nan.dlgrid"], cli.EXIT_CONTRACT),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
         "initial-lambda", "learning-rate", "beta1", "beta2", "epsilon", "count-zero",
         "count-negative", "sweep-empty-grid", "sweep-empty-lambda2-grid", "sweep-truth-shape",
-        "data-range", "shape-mismatch", "coefficient-rows"])
+        "data-range", "shape-mismatch", "coefficient-rows", "crop-size", "attenuation-scale",
+        "mc-samples-negative", "coefficient-nan"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.dldict").write_bytes(b"not a dictionary")
     # 5 x 32: not the 32 x 32 phantom's shape, and 5 rows for 4 atoms.
     write_grid(tmp_path / "bad.dlgrid", np.zeros((5, 32)), 1.0)
+    # 4 atoms x 2 rows, with one entry that is not finite.
+    nan_coefficients = np.zeros((8, 3))
+    nan_coefficients[5, 1] = np.nan
+    write_grid(tmp_path / "nan.dlgrid", nan_coefficients, 1.0)
     out = tmp_path / "out"
     assert run(*_command_argv(command, tmp_path), *extra, "--out", out) == code
     assert not out.exists()

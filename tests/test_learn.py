@@ -11,7 +11,7 @@ from dictolearn.learn import (
     remove_low_frequency,
     train_dictionary,
 )
-from dictolearn.operators import CoefficientMaps, ContractError, Dictionary, ImageGrid
+from dictolearn.operators import ContractError, Dictionary, ImageGrid
 from dictolearn.sparse import SparseCodeConfig, fista_sparse_code
 from dictolearn.tomo import AcquisitionGeometry
 from conftest import cd_sparse_solve
@@ -101,14 +101,16 @@ def test_adam_shape_mismatch(rng):
 
 
 def test_measure_sparsity_trivials():
-    z = CoefficientMaps.zeros("convolutional", 2, 3, (4, 4))
-    assert z.nonzero_count(0.0) == 0
-    v = np.zeros((2, 4, 4))
-    v[0, 0, 0] = 0.5
-    v[1, 1, 1] = -0.2
-    v[1, 2, 2] = 1e-12
-    z = CoefficientMaps("convolutional", v, (4, 4))
-    assert z.nonzero_count(1e-9) == 2
+    # One 32x32 validation crop of 4 atoms x 16 tiles. A weight far above the
+    # kill threshold codes it as z = 0: no support and every atom dead; a
+    # negligible weight leaves all 64 coefficients nonzero and no atom dead.
+    data = small_dataset(2, n=32)
+    for lam, expected in ((1e6, (0.0, 4)), (1e-12, (64.0, 0))):
+        cfg = TrainConfig(atom_count=4, atom_side=8, target_sparsity=4.0, crop_size=32,
+                          steps=1, validation_interval=1, fista_iters=5, initial_lambda=lam,
+                          seed=3)
+        _, log = train_dictionary(data, cfg, geom=None)
+        assert [(r.sparsity, r.dead_atoms) for r in log.records] == [expected]
 
 
 def test_measure_sparsity_matches_oracle_support():
@@ -118,8 +120,8 @@ def test_measure_sparsity_matches_oracle_support():
     z_cd = cd_sparse_solve(dense_matrix(d), x, lam)
     z, _ = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
                              SparseCodeConfig(lam=lam, max_iters=500), "patch")
-    thr = 1e-8 * max(float(np.max(np.abs(z.maps))), 1e-300)
-    assert z.nonzero_count(thr) == int(np.count_nonzero(np.abs(z_cd) > thr))
+    thr = 1e-8 * max(float(np.max(np.abs(z))), 1e-300)
+    assert np.count_nonzero(np.abs(z) > thr) == np.count_nonzero(np.abs(z_cd) > thr)
 
 
 def test_train_zero_steps_returns_initialization():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dictolearn.operators import (
-    CoefficientMaps,
     ContractError,
     ConvSynthesis,
     Dictionary,
@@ -22,10 +21,6 @@ def impulse_dictionary(k=3):
     return Dictionary(atom)
 
 
-def conv_maps(values, shape):
-    return CoefficientMaps("convolutional", values, shape)
-
-
 def dense_conv_matrix(d, shape):
     """S assembled column by column from indicator maps."""
     m = d.atom_count
@@ -36,20 +31,21 @@ def dense_conv_matrix(d, shape):
             for c in range(w):
                 e = np.zeros((m, h, w))
                 e[i, r, c] = 1.0
-                cols.append(ConvSynthesis(d, shape).apply(conv_maps(e, shape)).ravel())
+                cols.append(ConvSynthesis(d, shape).apply(e).ravel())
     return np.stack(cols, axis=1)
 
 
 def test_synthesize_conv_zero_coefficients():
     d = Dictionary.random(3, 3, 0)
-    z = CoefficientMaps.zeros("convolutional", 3, 3, (9, 9))
-    assert np.all(ConvSynthesis(d, (9, 9)).apply(z) == 0.0)
+    op = ConvSynthesis(d, (9, 9))
+    assert op.zeros().shape == (3, 9, 9)
+    assert np.all(op.apply(op.zeros()) == 0.0)
 
 
 def test_synthesize_conv_impulse_identity(rng):
     d = impulse_dictionary(3)
     img = rng.standard_normal((10, 12))
-    out = ConvSynthesis(d, (10, 12)).apply(conv_maps(img[None], (10, 12)))
+    out = ConvSynthesis(d, (10, 12)).apply(img[None])
     np.testing.assert_allclose(out, img, atol=1e-14)
 
 
@@ -64,14 +60,14 @@ def test_synthesize_conv_matches_assembled_matrix(rng):
     for i in range(2):
         idx = rng.choice(h * w, size=2, replace=False)
         z[i].ravel()[idx] = rng.standard_normal(2)
-    out = ConvSynthesis(d, (h, w)).apply(conv_maps(z, (h, w)))
+    out = ConvSynthesis(d, (h, w)).apply(z)
     np.testing.assert_allclose(out.ravel(), matrix @ z.ravel(), rtol=1e-12, atol=1e-14)
 
 
 def test_synthesize_conv_matches_loop_reference(rng):
     d = Dictionary.random(3, 4, 5)
     z = rng.standard_normal((3, 9, 7))
-    out = ConvSynthesis(d, (9, 7)).apply(conv_maps(z, (9, 7)))
+    out = ConvSynthesis(d, (9, 7)).apply(z)
     ref = dense_conv_reference(d.atoms, z)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
@@ -114,15 +110,16 @@ def test_patch_norm_sq_is_sigma_max_squared(m, k, shape):
 
 def test_synthesize_patch_zero():
     d = Dictionary.random(4, 4, 1)
-    z = CoefficientMaps.zeros("patch", 4, 4, (8, 8))
-    assert np.all(PatchSynthesis(d, (8, 8)).apply(z) == 0.0)
+    op = PatchSynthesis(d, (8, 8))
+    assert op.zeros().shape == (4, 2, 2)
+    assert np.all(op.apply(op.zeros()) == 0.0)
 
 
 def test_synthesize_patch_single_tile_dense_matmul(rng):
     # One 16x16 tile with 512 atoms: the operator is a plain matrix product.
     d = Dictionary.random(512, 16, 7)
     z = rng.standard_normal((512, 1, 1))
-    out = PatchSynthesis(d, (16, 16)).apply(CoefficientMaps("patch", z, (16, 16)))
+    out = PatchSynthesis(d, (16, 16)).apply(z)
     dense = d.flat().T  # (256, 512)
     np.testing.assert_allclose(out.ravel(), dense @ z.ravel(), rtol=1e-12, atol=1e-13)
 
@@ -131,23 +128,23 @@ def test_patch_equals_conv_on_stride_lattice(rng):
     d = Dictionary.random(6, 16, 2)
     k, h, w = 16, 32, 32
     zp = rng.standard_normal((6, 2, 2))
-    patch_out = PatchSynthesis(d, (h, w)).apply(CoefficientMaps("patch", zp, (h, w)))
+    patch_out = PatchSynthesis(d, (h, w)).apply(zp)
 
     s = (k - 1) // 2
     zc = np.zeros((6, h, w))
     for ty in range(2):
         for tx in range(2):
             zc[:, ty * k + s, tx * k + s] = zp[:, ty, tx]
-    conv_out = ConvSynthesis(d, (h, w)).apply(conv_maps(zc, (h, w)))
+    conv_out = ConvSynthesis(d, (h, w)).apply(zc)
     np.testing.assert_allclose(patch_out, conv_out, rtol=1e-12, atol=1e-13)
 
 
 def test_adjoint_conv_zero_and_impulse(rng):
     d = impulse_dictionary(5)
     zero = ConvSynthesis(d, (7, 7)).adjoint(np.zeros((7, 7)))
-    assert np.all(zero.maps == 0.0)
+    assert zero.shape == (1, 7, 7) and np.all(zero == 0.0)
     r = rng.standard_normal((7, 7))
-    np.testing.assert_allclose(ConvSynthesis(d, (7, 7)).adjoint(r).maps[0], r, atol=1e-14)
+    np.testing.assert_allclose(ConvSynthesis(d, (7, 7)).adjoint(r)[0], r, atol=1e-14)
 
 
 def test_adjoint_identity_conv(rng):
@@ -155,9 +152,7 @@ def test_adjoint_identity_conv(rng):
     z = rng.standard_normal((3, 10, 10))
     r = rng.standard_normal((10, 10))
     err = adjoint_rel_err(
-        lambda v: ConvSynthesis(d, (10, 10)).apply(conv_maps(v, (10, 10))),
-        lambda u: ConvSynthesis(d, (10, 10)).adjoint(u).maps,
-        z, r)
+        ConvSynthesis(d, (10, 10)).apply, ConvSynthesis(d, (10, 10)).adjoint, z, r)
     assert err < 1e-10
 
 
@@ -166,24 +161,22 @@ def test_adjoint_identity_patch(rng):
     z = rng.standard_normal((5, 3, 2))
     r = rng.standard_normal((12, 8))
     err = adjoint_rel_err(
-        lambda v: PatchSynthesis(d, (12, 8)).apply(CoefficientMaps("patch", v, (12, 8))),
-        lambda u: PatchSynthesis(d, (12, 8)).adjoint(u).maps,
-        z, r)
+        PatchSynthesis(d, (12, 8)).apply, PatchSynthesis(d, (12, 8)).adjoint, z, r)
     assert err < 1e-10
 
 
 def test_dict_gradient_zero_coefficients(rng):
     d = Dictionary.random(2, 3, 17)
-    z = CoefficientMaps.zeros("convolutional", 2, 3, (8, 8))
-    g = dict_gradient(d, z, ImageGrid(rng.standard_normal((8, 8))))
+    g = dict_gradient(d, np.zeros((2, 8, 8)), ImageGrid(rng.standard_normal((8, 8))),
+                      "convolutional")
     assert np.all(g == 0.0)
 
 
 def test_dict_gradient_zero_residual(rng):
     d = Dictionary.random(2, 3, 19)
-    z = conv_maps(rng.standard_normal((2, 8, 8)), (8, 8))
+    z = rng.standard_normal((2, 8, 8))
     x = ImageGrid(ConvSynthesis(d, (8, 8)).apply(z))
-    g = dict_gradient(d, z, x)
+    g = dict_gradient(d, z, x, "convolutional")
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -194,19 +187,20 @@ def test_dict_gradient_matches_finite_differences(mode, rng):
     m, k = 2, 3
     d = Dictionary.random(m, k, 23)
     if mode == "convolutional":
-        z = conv_maps(rng.standard_normal((m, 8, 8)) * (rng.random((m, 8, 8)) < 0.4), (8, 8))
+        z = rng.standard_normal((m, 8, 8)) * (rng.random((m, 8, 8)) < 0.4)
+        shape = (8, 8)
     else:
-        z = CoefficientMaps("patch", rng.standard_normal((m, 2, 2)), (6, 6))
-    shape = z.grid_shape
+        z = rng.standard_normal((m, 2, 2))
+        shape = (6, 6)
     x = ImageGrid(rng.standard_normal(shape))
-    grad = dict_gradient(d, z, x)
+    grad = dict_gradient(d, z, x, mode)
 
     def objective(atoms):
         if mode == "convolutional":
-            synth = dense_conv_reference(atoms, z.maps)
+            synth = dense_conv_reference(atoms, z)
         else:
             flat = atoms.reshape(m, k * k)
-            tiles = np.tensordot(z.maps, flat, axes=(0, 0))
+            tiles = np.tensordot(z, flat, axes=(0, 0))
             synth = tiles.reshape(2, 2, k, k).swapaxes(1, 2).reshape(shape)
         r = synth - x.values
         return np.sum(r * r)
@@ -260,9 +254,8 @@ def test_linearity_conv(seed, alpha, beta):
     z1 = r.standard_normal((2, 6, 6))
     z2 = r.standard_normal((2, 6, 6))
     op = ConvSynthesis(d, (6, 6))
-    lhs = op.apply(conv_maps(alpha * z1 + beta * z2, (6, 6)))
-    rhs = (alpha * op.apply(conv_maps(z1, (6, 6)))
-           + beta * op.apply(conv_maps(z2, (6, 6))))
+    lhs = op.apply(alpha * z1 + beta * z2)
+    rhs = alpha * op.apply(z1) + beta * op.apply(z2)
     scale = max(np.max(np.abs(rhs)), 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * scale)
 
@@ -275,29 +268,30 @@ def test_adjointness_randomized_both_modes(seed):
     z = r.standard_normal((3, 9, 9))
     res = r.standard_normal((9, 9))
     err = adjoint_rel_err(
-        lambda v: ConvSynthesis(d, (9, 9)).apply(conv_maps(v, (9, 9))),
-        lambda u: ConvSynthesis(d, (9, 9)).adjoint(u).maps, z, res)
+        ConvSynthesis(d, (9, 9)).apply, ConvSynthesis(d, (9, 9)).adjoint, z, res)
     assert err < 1e-8
     zp = r.standard_normal((3, 3, 3))
     err = adjoint_rel_err(
-        lambda v: PatchSynthesis(d, (9, 9)).apply(CoefficientMaps("patch", v, (9, 9))),
-        lambda u: PatchSynthesis(d, (9, 9)).adjoint(u).maps, zp, res)
+        PatchSynthesis(d, (9, 9)).apply, PatchSynthesis(d, (9, 9)).adjoint, zp, res)
     assert err < 1e-8
 
 
 def test_channel_mismatch_rejected(rng):
     d = Dictionary.random(3, 3, 29)
-    z = conv_maps(rng.standard_normal((2, 6, 6)), (6, 6))
     with pytest.raises(ContractError):
-        ConvSynthesis(d, (6, 6)).apply(z)
+        ConvSynthesis(d, (6, 6)).apply(rng.standard_normal((2, 6, 6)))
+    with pytest.raises(ContractError):
+        ConvSynthesis(d, (6, 6)).apply(rng.standard_normal((3, 6, 5)))
+    with pytest.raises(ContractError):
+        PatchSynthesis(d, (6, 6)).apply(rng.standard_normal((2, 2, 2)))
 
 
 def test_non_divisible_patch_shape_rejected():
     d = Dictionary.random(2, 4, 31)
     with pytest.raises(ContractError):
-        CoefficientMaps.zeros("patch", 2, 4, (10, 8))
+        PatchSynthesis(d, (10, 8))
     with pytest.raises(ContractError):
-        PatchSynthesis(d, (10, 8)).apply(CoefficientMaps("patch", np.zeros((2, 2, 2)), (10, 8)))
+        PatchSynthesis(d, (12, 8)).apply(np.zeros((2, 2, 2)))
 
 
 def test_dictionary_invariants():

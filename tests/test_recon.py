@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dictolearn.analytics import shepp_logan
-from dictolearn.operators import CoefficientMaps, ContractError, ConvSynthesis, Dictionary, ImageGrid
+from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
@@ -59,18 +59,16 @@ def _layout_problem():
 
 
 LAYOUT_PRODUCERS = {
-    "zeros-conv": (lambda d, x, y: CoefficientMaps.zeros(
-        "convolutional", d.atom_count, d.atom_side, x.shape).maps, 12),
-    "zeros-patch": (lambda d, x, y: CoefficientMaps.zeros(
-        "patch", d.atom_count, d.atom_side, x.shape).maps, 3),
+    "zeros-conv": (lambda d, x, y: make_synthesis(d, "convolutional", x.shape).zeros(), 12),
+    "zeros-patch": (lambda d, x, y: make_synthesis(d, "patch", x.shape).zeros(), 3),
     "adjoint-conv": (lambda d, x, y: make_synthesis(d, "convolutional", x.shape).adjoint(
-        x.values).maps, 12),
+        x.values), 12),
     "adjoint-patch": (lambda d, x, y: make_synthesis(d, "patch", x.shape).adjoint(
-        x.values).maps, 3),
+        x.values), 3),
     "fista-conv": (lambda d, x, y: fista_sparse_code(
-        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "convolutional")[0].maps, 12),
+        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "convolutional")[0], 12),
     "fista-patch": (lambda d, x, y: fista_sparse_code(
-        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "patch")[0].maps, 3),
+        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "patch")[0], 3),
     "reconstruct-dict": (lambda d, x, y: reconstruct_dict(
         y, d, ReconConfig(iters=2), x.shape, return_coefficients=True)[2], 12),
     "reconstruct-dict-patch": (lambda d, x, y: reconstruct_dict_patch(
@@ -108,8 +106,7 @@ def test_trace_reports_the_minimized_objective(solver, noisy_problem, dictionary
                                    cutoff=cfg.lowpass_cutoff).values
     k = dictionary.atom_side
     if solver is reconstruct_dict:
-        synth = ConvSynthesis(dictionary, (N, N)).apply(
-            CoefficientMaps("convolutional", z, (N, N)))
+        synth = ConvSynthesis(dictionary, (N, N)).apply(z)
         coupling = cfg.lambda1 * np.sum((x_hf - synth) ** 2)
         l1 = cfg.lambda2 * np.sum(np.abs(z))
     else:
@@ -249,8 +246,7 @@ def test_stationary_point_is_fixed():
     assert np.max(np.abs(gx_check)) < 1e-9
 
     # Sanity: the impulse atom makes S the identity on its channel.
-    synth = make_synthesis(d, "convolutional", (n, n)).apply(
-        CoefficientMaps("convolutional", z_bar, (n, n)))
+    synth = make_synthesis(d, "convolutional", (n, n)).apply(z_bar)
     np.testing.assert_allclose(synth, z_bar[0], atol=1e-15)
 
     # One x gradient step (no momentum on the first iteration).
