@@ -408,7 +408,7 @@ def cmd_verify_elbo(args, opt) -> int:
             else:
                 mc, se = math.nan, math.nan
             bad = (report.elbo_exact < report.lower_bound - 1e-10
-                   or report.gap > report.gap_bound + 1e-10)
+                   or report.gap > report.gap_bound + 1e-10 or not report.certified)
             violations += bad
             row = (i, *report.as_dict().values(), mc, se, int(bad))
             fh.write(",".join(repr(v) for v in row) + "\n")

@@ -9,7 +9,11 @@ mode z* with scale b_star. This module evaluates, in closed form,
     f(x, z)    = ||D z - x||^2 / (2 sigma^2) + ||z||_1 / b,
 
 its lower bound obtained by bounding the folded-Laplace expectation, and
-the bound on their gap, (b_star / b) * ||z*||_0. Monte-Carlo estimation
+the bound on their gap, (b_star / b) * ||z*||_0. All three assume that
+z* is the mode; :func:`posterior_mode` stops once the Lasso duality gap
+certifies that, and :class:`ElboReport` carries the certificate of the
+z* it was computed from (``mode_gap``, certified when at most
+``MODE_GAP_TOL``). Monte-Carlo estimation
 and tensor-grid quadrature of the log evidence provide independent
 cross-checks of the whole chain.
 
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .operators import ContractError, Dictionary, ImageGrid
-from .sparse import SparseCodeConfig, fista_sparse_code
+from .sparse import SparseCodeConfig, duality_gap, fista_sparse_code
 
 __all__ = [
     "ModelParams",
@@ -36,6 +40,7 @@ __all__ = [
     "gaussian_logpdf",
     "joint_log_density",
     "posterior_mode",
+    "mode_gap",
     "expected_l1_laplace",
     "elbo_lower_bound",
     "elbo_monte_carlo",
@@ -44,6 +49,8 @@ __all__ = [
 ]
 
 MC_MIN_SAMPLES = 1000  # fewest draws elbo_monte_carlo accepts
+# Relative duality gap at which a z* counts as the mode (certified).
+MODE_GAP_TOL = 1e-10
 _MC_BLOCK = 1 << 16
 _QUAD_BLOCK = 1 << 16
 # Quadrature nodes stream in blocks, so this caps time, not memory: 5e7
@@ -70,7 +77,12 @@ class ModelParams:
 
 @dataclass
 class ElboReport:
-    """All terms of the closed-form bound for one signal."""
+    """All terms of the closed-form bound for one signal.
+
+    ``mode_gap`` is the certified relative duality gap of the z* the
+    terms were computed from (see :func:`mode_gap`); the z* is certified
+    as the mode when it is at most ``MODE_GAP_TOL``.
+    """
 
     f_at_mode: float
     penalty_quad: float
@@ -81,13 +93,18 @@ class ElboReport:
     lower_bound: float
     gap_bound: float
     support_size: int
+    mode_gap: float
 
     @property
     def gap(self) -> float:
         return self.elbo_exact - self.lower_bound
 
+    @property
+    def certified(self) -> bool:
+        return self.mode_gap <= MODE_GAP_TOL
+
     COLUMNS = ("f_at_mode", "penalty_quad", "penalty_lin", "constant_c", "expected_f",
-               "elbo_exact", "lower_bound", "gap", "gap_bound", "support_size")
+               "elbo_exact", "lower_bound", "gap", "gap_bound", "support_size", "mode_gap")
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in self.COLUMNS}
@@ -151,20 +168,40 @@ def _log_joint_rows(x: np.ndarray, z: np.ndarray, d: np.ndarray,
             - np.sum(np.abs(z), axis=1) / params.b)
 
 
+def _mode_problem(x, dict_: Dictionary, params: ModelParams):
+    """x as a single-tile image and the l1 weight of the equivalent sparse coding."""
+    k = dict_.atom_side
+    return ImageGrid(x.reshape(k, k)), 2.0 * params.sigma ** 2 / params.b
+
+
 def posterior_mode(x, dict_: Dictionary, params: ModelParams,
                    fista_iters: int = 2000) -> np.ndarray:
     """Mode of the joint density in z: minimizer of f(x, .).
 
     Minimizing f is equivalent to sparse coding with l1 weight
     ``2 sigma^2 / b`` (positive rescaling preserves the argmin), solved
-    here with a long FISTA run on the single-tile patch problem.
+    here with FISTA on the single-tile patch problem. The solve stops at
+    the first check where the relative duality gap is at most
+    ``MODE_GAP_TOL``, or after ``fista_iters`` iterations; :func:`mode_gap`
+    tells which.
     """
     x = _check_dims(x, dict_, params)
-    k = dict_.atom_side
-    lam = 2.0 * params.sigma ** 2 / params.b
+    image, lam = _mode_problem(x, dict_, params)
     cfg = SparseCodeConfig(lam=lam, max_iters=fista_iters)
-    z, _ = fista_sparse_code(dict_, ImageGrid(x.reshape(k, k)), cfg, "patch")
+    z, _ = fista_sparse_code(dict_, image, cfg, "patch", gap_tol=MODE_GAP_TOL)
     return z.ravel()
+
+
+def mode_gap(x, z, dict_: Dictionary, params: ModelParams) -> float:
+    """Certified relative duality gap of z as the mode of f(x, .).
+
+    Bounds ``(f(x, z) - min f) / f(x, z)``; the same test that stops
+    :func:`posterior_mode`, so its output certifies exactly when this is
+    at most ``MODE_GAP_TOL``.
+    """
+    x = _check_dims(x, dict_, params)
+    image, lam = _mode_problem(x, dict_, params)
+    return duality_gap(dict_, image, z, lam)
 
 
 def expected_l1_laplace(center: np.ndarray, scale: float) -> float:
@@ -190,7 +227,7 @@ def elbo_lower_bound(x, dict_: Dictionary, params: ModelParams,
     f_mode = f_value(x, z_star, dict_, params)
     penalty_quad = m * bs ** 2 / sigma ** 2
     penalty_lin = m * bs / b
-    constant_c = -0.5 * n * np.log(2.0 * np.pi * sigma ** 2) + m * np.log(bs / b) + m
+    constant_c = float(-0.5 * n * np.log(2.0 * np.pi * sigma ** 2) + m * np.log(bs / b) + m)
 
     decay = float(np.sum(np.exp(-np.abs(z_star) / bs)))
     expected_f = f_mode + penalty_quad + (bs / b) * decay
@@ -201,12 +238,13 @@ def elbo_lower_bound(x, dict_: Dictionary, params: ModelParams,
         f_at_mode=f_mode,
         penalty_quad=penalty_quad,
         penalty_lin=penalty_lin,
-        constant_c=float(constant_c),
+        constant_c=constant_c,
         expected_f=expected_f,
         elbo_exact=elbo_exact,
         lower_bound=lower_bound,
         gap_bound=(bs / b) * support,
         support_size=support,
+        mode_gap=mode_gap(x, z_star, dict_, params),
     )
 
 
@@ -257,7 +295,7 @@ def elbo_monte_carlo(x, dict_: Dictionary, params: ModelParams, z_star: np.ndarr
 
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / max(n_samples - 1, 1)
-    entropy = m * np.log(2.0 * bs) + m
+    entropy = float(m * np.log(2.0 * bs) + m)
     return mean + entropy, float(np.sqrt(var / n_samples))
 
 

@@ -23,7 +23,7 @@ from .operators import (
     dict_gradient,
     normalize_atoms,
 )
-from .sparse import SparseCodeConfig, fista_sparse_code
+from .sparse import SparseCodeConfig, duality_gap, fista_sparse_code
 from .tomo import AcquisitionGeometry, check_cutoff, fbp, forward_project
 
 __all__ = [
@@ -110,6 +110,7 @@ class TrainRecord:
     sparsity: float
     objective: float
     dead_atoms: int
+    duality_gap: float
 
 
 @dataclass
@@ -124,9 +125,11 @@ class TrainLog:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "lambda", "sparsity", "objective", "dead_atoms"])
+            writer.writerow(["step", "lambda", "sparsity", "objective", "dead_atoms",
+                             "duality_gap"])
             for r in self.records:
-                writer.writerow([r.step, repr(r.lam), repr(r.sparsity), repr(r.objective), r.dead_atoms])
+                writer.writerow([r.step, repr(r.lam), repr(r.sparsity), repr(r.objective), r.dead_atoms,
+                                 repr(r.duality_gap)])
 
 
 def remove_low_frequency(x: ImageGrid, geom: AcquisitionGeometry,
@@ -206,7 +209,10 @@ def train_dictionary(dataset, cfg: TrainConfig,
     Returns
     -------
     (Dictionary, TrainLog)
-        Unit-norm atoms and one log record per validation checkpoint.
+        Unit-norm atoms and one log record per validation checkpoint,
+        which also holds the mean certified relative duality gap of the
+        validation solves (:func:`~dictolearn.sparse.duality_gap`),
+        computed after them so that it changes nothing they return.
         Deterministic given the seed and dataset.
     """
     dataset = list(dataset)
@@ -277,6 +283,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
             t_val += 1
             counts = []
             objectives = []
+            gaps = []
             used = np.zeros(cfg.atom_count, dtype=bool)
             for vc in val_crops:
                 zv, trace = code(dictionary, vc, cfg.fista_iters)
@@ -284,10 +291,11 @@ def train_dictionary(dataset, cfg: TrainConfig,
                 thr = SPARSITY_EPS * max(float(np.max(mag)), 1e-300)
                 counts.append(np.count_nonzero(mag > thr))
                 objectives.append(trace[-1])
+                gaps.append(duality_gap(dictionary, ImageGrid(vc), zv, lam))
                 used |= mag.sum(axis=(1, 2)) > thr
             s_hat = float(np.mean(counts))
             lam = adapt_lambda(lam, s_hat, cfg.target_sparsity, c, t_val)
             log.append(TrainRecord(step, lam, s_hat, float(np.mean(objectives)),
-                                   int(cfg.atom_count - used.sum())))
+                                   int(cfg.atom_count - used.sum()), float(np.mean(gaps))))
 
     return dictionary, log

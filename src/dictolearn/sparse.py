@@ -15,7 +15,16 @@ shape the synthesis operator fixes.
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
 beyond rounding restarts the momentum, a rise from a plain step doubles
-the bounds once per solve, and a rise after that is kept and counted.
+the bounds once per solve, and a rise after that is kept and counted. It
+takes an optional stop test; only patch-mode sparse coding given a gap
+tolerance passes one, which ends the solve once :func:`duality_gap`'s
+certificate is small enough, so every other solve runs its full
+iteration count.
+
+:func:`duality_gap` certifies how far a patch-mode z is from the optimum:
+with r = x - S z scaled into the dual set, P(z) - D(s r) >= P(z) - P*
+(Fercoq, Gramfort & Salmon, ICML 2015). In Gram form every term of it is
+already at hand, so it costs no product.
 """
 
 from __future__ import annotations
@@ -43,7 +52,12 @@ __all__ = [
     "z_step",
     "z_parts",
     "fista_sparse_code",
+    "duality_gap",
 ]
+
+# A stop test runs after every GAP_CHECK_EVERY-th iteration of a
+# patch-mode solve that is given a gap tolerance.
+GAP_CHECK_EVERY = 5
 
 
 @dataclass
@@ -112,7 +126,7 @@ class Descent:
     unresolved: int = 0
 
 
-def accelerated_descent(step, start, f_start: float, iters: int) -> Descent:
+def accelerated_descent(step, start, f_start: float, iters: int, stop=None) -> Descent:
     """Accelerated proximal gradient with function-value restart.
 
     ``start`` is a tuple of arrays: the iterate plus any linear images of
@@ -130,6 +144,12 @@ def accelerated_descent(step, start, f_start: float, iters: int) -> Descent:
     too small: ``scale`` becomes 2, once per solve, and the step is
     retried (``halvings``). A rise after that is kept (``unresolved``).
     A non-finite objective raises :class:`DivergenceError`.
+
+    ``stop(done, state, parts)``, when given, is called after each
+    iteration with the iteration count, the new state and its objective
+    parts; the solve ends early when it returns true. It only truncates
+    the trajectory: the state at the stop is the state a run without a
+    stop test holds after ``done`` iterations.
     """
     slack = 1e-12 * max(1.0, abs(f_start))
     state = point = start
@@ -161,6 +181,8 @@ def accelerated_descent(step, start, f_start: float, iters: int) -> Descent:
         point = new if mom == 0.0 else tuple(a + mom * (a - b) for a, b in zip(new, state))
         state, f_last, t = new, f, t_next
         run.parts.append(parts)
+        if stop is not None and stop(len(run.parts), state, parts):
+            break
     run.state = state
     return run
 
@@ -198,7 +220,8 @@ class _GramCoupling:
     """Patch-mode coupling for one fixed x: ``G z`` in place of ``S z``, G = D D^T.
 
     z is (m, H/k, W/k); ``G z`` multiplies its (m, tiles) view. With
-    c = S^T x, the gradient is 2 (Gz - c) and the value <z, Gz - 2c> + ||x||^2.
+    c = S^T x, the gradient is 2 (Gz - c) and the value <z, Gz - 2c> + ||x||^2,
+    which is ||r||^2 for the residual r = x - S z.
     """
 
     def __init__(self, dict_: Dictionary, x: ImageGrid, lam: float):
@@ -221,6 +244,24 @@ class _GramCoupling:
     def value(self, x, z, gz):
         return float(np.vdot(z, gz - 2.0 * self.c)) + self.x_sq
 
+    def relative_gap(self, z, gz, parts) -> float:
+        """Certified duality gap of ``||S z - x||^2 + lam ||z||_1`` over its value.
+
+        The dual point s r, s = min(1, lam / (2 ||S^T r||_inf)), is
+        feasible, so P(z) - (2 s <x, r> - s^2 ||r||^2) >= P(z) - P*. Every
+        term is at hand: S^T r = c - G z, ||r||^2 is the coupling value
+        ``parts[0]``, and <x, r> = ||x||^2 - <c, z>. P(z) = 0 only at
+        x = 0 and z = 0, which is optimal: the gap is 0 there.
+        """
+        r_sq, l1 = parts
+        primal = r_sq + l1
+        if primal == 0.0:
+            return 0.0
+        corr = 2.0 * float(np.max(np.abs(self.c - gz)))
+        s = 1.0 if corr <= self.l1_weight else self.l1_weight / corr
+        x_r = self.x_sq - float(np.vdot(self.c, z))
+        return (primal - (2.0 * s * x_r - s * s * r_sq)) / primal
+
 
 def z_step(coupling, x, z, sz, scale: float):
     """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``: ``(z_new, S z_new)``.
@@ -237,7 +278,8 @@ def z_parts(coupling, x, z, sz):
     return coupling.value(x, z, sz), coupling.l1_weight * float(np.sum(np.abs(z)))
 
 
-def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str):
+def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
+                      gap_tol: float | None = None):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
     Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent`,
@@ -247,6 +289,12 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     :class:`SynthesisCoupling`: one apply and one adjoint per iteration.
     The objective trace does not rise beyond rounding.
 
+    With ``gap_tol`` (patch mode only), the solve also stops at the first
+    check, every ``GAP_CHECK_EVERY`` iterations, where the relative
+    duality gap (see :func:`duality_gap`) is at most ``gap_tol``; the
+    iterate it returns is then bit for bit the one a run of that many
+    iterations returns.
+
     Returns
     -------
     (ndarray, ndarray)
@@ -255,8 +303,13 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     """
     if mode == "patch":
         coupling = _GramCoupling(dict_, x, cfg.lam)
+    elif gap_tol is not None:
+        raise ContractError("a gap tolerance needs patch mode")
     else:
         coupling = SynthesisCoupling(dict_, mode, x.shape, 1.0, cfg.lam)
+
+    def stop(done, state, parts):
+        return done % GAP_CHECK_EVERY == 0 and coupling.relative_gap(*state, parts) <= gap_tol
 
     def step(point, scale):
         new = z_step(coupling, x.values, *point, scale)
@@ -266,8 +319,24 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     start = (z, coupling.synth(z))
     try:
         run = accelerated_descent(step, start, sum(z_parts(coupling, x.values, *start)),
-                                  cfg.max_iters)
+                                  cfg.max_iters, None if gap_tol is None else stop)
     except DivergenceError as err:
         err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=coupling.lz / 2.0)
         raise
     return run.state[0], np.array([sum(p) for p in run.parts])
+
+
+def duality_gap(dict_: Dictionary, x: ImageGrid, z: np.ndarray, lam: float) -> float:
+    """Certified relative duality gap of patch-mode coefficients z for image x.
+
+    ``(P(z) - D(s r)) / P(z)`` with P(z) = ``||S z - x||^2 + lam ||z||_1``
+    and the dual point of :meth:`_GramCoupling.relative_gap`, the same
+    test that stops :func:`fista_sparse_code` at ``gap_tol``. It bounds
+    ``(P(z) - P*) / P(z)``, so a value at most ``tol`` certifies
+    ``P(z) - P* <= tol * P(z)``. It is >= 0 up to the rounding of its
+    Gram-form terms, a few machine epsilons times ``||x||^2 / P(z)``.
+    """
+    coupling = _GramCoupling(dict_, x, lam)
+    z = np.asarray(z, dtype=np.float64).reshape(coupling.c.shape)
+    state = (z, coupling.synth(z))
+    return coupling.relative_gap(*state, z_parts(coupling, x.values, *state))

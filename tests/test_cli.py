@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dictolearn import cli
+from dictolearn import cli, elbo
 from dictolearn.fileio import read_dictionary, read_grid, write_dictionary, write_grid
 from dictolearn.operators import Dictionary
 
@@ -243,11 +243,30 @@ def test_verify_elbo_report_and_determinism(tmp_path):
     assert (out1 / "elbo_report.csv").read_bytes() == (out2 / "elbo_report.csv").read_bytes()
     assert (out1 / "elbo_report.csv").read_text().splitlines()[0] == (
         "sample,f_at_mode,penalty_quad,penalty_lin,constant_c,expected_f,elbo_exact,"
-        "lower_bound,gap,gap_bound,support_size,mc_estimate,mc_stderr,violation")
+        "lower_bound,gap,gap_bound,support_size,mode_gap,mc_estimate,mc_stderr,violation")
     with open(out1 / "elbo_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert all(r["violation"] == "0" for r in rows)
+    assert all(float(r["mode_gap"]) <= elbo.MODE_GAP_TOL for r in rows)
+    integral = ("sample", "support_size", "violation")
+    for r in rows:
+        for key, value in r.items():
+            (int if key in integral else float)(value)
+
+
+def test_verify_elbo_uncertified_mode_exits_5(tmp_path, monkeypatch):
+    # No gap is at most -1, so every z* runs to the iteration cap uncertified.
+    monkeypatch.setattr(elbo, "MODE_GAP_TOL", -1.0)
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, Dictionary.random(6, 3, 9))
+    out = tmp_path / "ve"
+    code = run("verify-elbo", "--dictionary", dict_path, "--sigma", 0.3, "--b", 0.4,
+               "--b-star", 0.05, "--count", 2, "--mc-samples", 0, "--out", out)
+    assert code == cli.EXIT_VERIFY
+    with open(out / "elbo_report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["violation"] for r in rows] == ["1", "1"]
 
 
 def test_atoms_zero_coefficients_index_order(tmp_path):

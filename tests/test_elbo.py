@@ -19,10 +19,11 @@ from dictolearn.elbo import (
     joint_log_density,
     laplace_logpdf,
     log_evidence_quadrature,
+    mode_gap,
     posterior_mode,
     sample_laplace,
 )
-from dictolearn.operators import ContractError, Dictionary
+from dictolearn.operators import ContractError, Dictionary, ImageGrid
 from conftest import cd_sparse_solve
 
 
@@ -116,7 +117,9 @@ def test_posterior_mode_matches_coordinate_descent(instance):
 
 def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
     # On this overcomplete instance, restarting on every rise of rounding
-    # size restarted about half of the iterations.
+    # size restarted about half of the iterations. posterior_mode stops
+    # once its mode is certified, so the solver runs the same problem
+    # (lambda = 2 sigma^2 / b) without a stop test for all 2000 iterations.
     d = Dictionary.random(16, 4, 5)
     x = np.random.default_rng(7).standard_normal(16) * 0.5
     params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=16, m=16)
@@ -129,9 +132,56 @@ def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
 
     monkeypatch.setattr(sparse, "accelerated_descent", recorded)
     iters, restart_allowance = 2000, 10
-    posterior_mode(x, d, params, fista_iters=iters)
+    cfg = sparse.SparseCodeConfig(lam=2 * params.sigma ** 2 / params.b, max_iters=iters)
+    sparse.fista_sparse_code(d, ImageGrid(x.reshape(4, 4)), cfg, "patch")
     assert len(runs) == 1 and len(runs[0].parts) == iters
     assert runs[0].restarts + runs[0].halvings <= restart_allowance
+    assert mode_gap(x, posterior_mode(x, d, params), d, params) <= elbo.MODE_GAP_TOL
+
+
+def test_posterior_mode_is_the_iterate_of_an_unstopped_run(instance):
+    d, x = instance
+    z_star = posterior_mode(x, d, PARAMS)
+    cfg = sparse.SparseCodeConfig(lam=2 * PARAMS.sigma ** 2 / PARAMS.b, max_iters=2000)
+    image = ImageGrid(x.reshape(4, 4))
+    _, trace = sparse.fista_sparse_code(d, image, cfg, "patch", gap_tol=elbo.MODE_GAP_TOL)
+    assert len(trace) < cfg.max_iters
+    cfg.max_iters = len(trace)
+    z_ref, _ = sparse.fista_sparse_code(d, image, cfg, "patch")
+    assert np.array_equal(z_star, z_ref.ravel())
+    assert elbo_lower_bound(x, d, PARAMS, z_star).mode_gap <= elbo.MODE_GAP_TOL
+
+
+def test_mode_gap_zero_signal(instance):
+    d, _ = instance
+    assert mode_gap(np.zeros(16), np.zeros(6), d, PARAMS) == 0.0
+    assert elbo_lower_bound(np.zeros(16), d, PARAMS).certified
+
+
+def c05_instances():
+    """The five models of acceptance criterion 5."""
+    for trial, m in enumerate((1, 2, 2, 1, 2)):
+        rng = np.random.default_rng(500 + trial)
+        k = 2 if m == 2 else 1
+        d = Dictionary.random(m, k, 500 + trial)
+        params = ModelParams(sigma=float(rng.uniform(0.2, 0.5)), b=float(rng.uniform(0.3, 0.7)),
+                             b_star=float(rng.uniform(0.02, 0.15)), n=k * k, m=m)
+        yield d, params, rng.standard_normal(k * k) * 0.5
+
+
+def test_c05_modes_certify():
+    for d, params, x in c05_instances():
+        report = elbo_lower_bound(x, d, params, posterior_mode(x, d, params))
+        assert report.certified, report.mode_gap
+
+
+def test_report_values_are_plain_numbers(instance):
+    d, x = instance
+    z_star = posterior_mode(x, d, PARAMS)
+    report = elbo_lower_bound(x, d, PARAMS, z_star)
+    assert {key: type(v) for key, v in report.as_dict().items()} == {
+        key: int if key == "support_size" else float for key in ElboReport.COLUMNS}
+    assert [type(v) for v in elbo_monte_carlo(x, d, PARAMS, z_star, 1000, seed=1)] == [float, float]
 
 
 def test_lambda_mapping_preserves_argmin(instance):

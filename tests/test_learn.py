@@ -3,6 +3,7 @@ import pytest
 
 from dictolearn.analytics import random_ellipse_phantom
 from dictolearn.elbo import dense_matrix
+from dictolearn import learn
 from dictolearn.learn import (
     AdamState,
     TrainConfig,
@@ -12,7 +13,7 @@ from dictolearn.learn import (
     train_dictionary,
 )
 from dictolearn.operators import ContractError, Dictionary, ImageGrid
-from dictolearn.sparse import SparseCodeConfig, fista_sparse_code
+from dictolearn.sparse import SparseCodeConfig, duality_gap, fista_sparse_code
 from dictolearn.tomo import AcquisitionGeometry
 from conftest import cd_sparse_solve
 
@@ -157,6 +158,34 @@ def test_train_atom_norms_and_log_schema():
     for r in log.records:
         assert 0 <= r.dead_atoms <= cfg.atom_count
         assert np.isfinite(r.objective) and np.isfinite(r.lam)
+
+
+def test_train_logs_the_validation_duality_gap(tmp_path):
+    # One 32x32 image is both the training set and the validation crop,
+    # and the last step's dictionary is the one returned.
+    image = small_dataset(1, n=32)[0]
+    cfg = TrainConfig(atom_count=6, atom_side=8, target_sparsity=15.0, crop_size=32,
+                      steps=20, validation_interval=20, fista_iters=10, seed=8)
+    dic, log = train_dictionary([image], cfg, geom=None)
+    (rec,) = log.records
+    z, _ = fista_sparse_code(dic, image, SparseCodeConfig(lam=rec.lam, max_iters=10), "patch")
+    assert rec.duality_gap == duality_gap(dic, image, z, rec.lam) > 0.0
+    log.write_csv(tmp_path / "train_log.csv")
+    header, row = (tmp_path / "train_log.csv").read_text().splitlines()
+    assert header == "step,lambda,sparsity,objective,dead_atoms,duality_gap"
+    assert float(row.split(",")[-1]) == rec.duality_gap
+
+
+def test_train_gap_changes_nothing_else(monkeypatch):
+    data = small_dataset(6)
+    cfg = TrainConfig(atom_count=6, atom_side=8, target_sparsity=15.0, crop_size=32,
+                      steps=60, validation_interval=20, fista_iters=10, seed=4)
+    d1, l1 = train_dictionary(data, cfg, geom=None)
+    monkeypatch.setattr(learn, "duality_gap", lambda *args: 0.0)
+    d2, l2 = train_dictionary(data, cfg, geom=None)
+    np.testing.assert_array_equal(d1.atoms, d2.atoms)
+    assert [(r.step, r.lam, r.sparsity, r.objective, r.dead_atoms) for r in l1.records] == \
+           [(r.step, r.lam, r.sparsity, r.objective, r.dead_atoms) for r in l2.records]
 
 
 def test_train_lambda_frozen_inside_band():

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid, PatchSynthesis
 from dictolearn.analytics import random_ellipse_phantom
 from dictolearn.sparse import (
+    GAP_CHECK_EVERY,
     DivergenceError,
     SparseCodeConfig,
     SynthesisCoupling,
     accelerated_descent,
+    duality_gap,
     fista_sparse_code,
     soft_threshold,
     sparse_objective,
@@ -191,6 +193,78 @@ def test_patch_fista_gram_form_matches_residual_form():
     run = accelerated_descent(step, start, sum(z_parts(reference, x.values, *start)), iters)
     assert np.max(np.abs(z - run.state[0])) <= 1e-12
     assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam, "patch"), rel=1e-12)
+
+
+def dense_relative_gap(D, x, z, lam):
+    """``(P(z) - D(s r)) / P(z)`` from the residual r = x - D z, with no Gram form."""
+    r = x - D @ z
+    primal = float(r @ r + lam * np.sum(np.abs(z)))
+    s = min(1.0, lam / (2.0 * float(np.max(np.abs(D.T @ r)))))
+    dual = 2.0 * s * float(x @ r) - s * s * float(r @ r)
+    return (primal - dual) / primal
+
+
+def test_duality_gap_matches_dense_computation(rng):
+    d, x = tiny_patch_instance(21)
+    D, image = dense_matrix(d), ImageGrid(x.reshape(4, 4))
+    for lam in (0.05, 0.3, 2.0):
+        for scale in (0.01, 0.3, 3.0):
+            z = rng.standard_normal(6) * scale
+            gap = duality_gap(d, image, z, lam)
+            assert gap >= -1e-13
+            assert gap == pytest.approx(dense_relative_gap(D, x, z, lam), rel=1e-9, abs=1e-13)
+
+
+def test_duality_gap_bounds_the_suboptimality():
+    d, x = tiny_patch_instance(13)
+    D, lam = dense_matrix(d), 0.2
+    z_star = cd_sparse_solve(D, x, lam, iters=200000, tol=1e-16)
+    p_star = float(np.sum((D @ z_star - x) ** 2) + lam * np.sum(np.abs(z_star)))
+    image = ImageGrid(x.reshape(4, 4))
+    assert abs(duality_gap(d, image, z_star, lam)) < 1e-12
+    for z in (np.zeros(6), z_star + 0.01, 0.5 * z_star):
+        primal = float(np.sum((D @ z - x) ** 2) + lam * np.sum(np.abs(z)))
+        assert duality_gap(d, image, z, lam) * primal >= primal - p_star - 1e-12
+
+
+def test_duality_gap_zero_signal():
+    d, _ = tiny_patch_instance(5)
+    assert duality_gap(d, ImageGrid(np.zeros((4, 4))), np.zeros(6), 0.3) == 0.0
+
+
+def test_gap_stop_truncates_the_trajectory():
+    # The stopped iterate is bit for bit the one a run of as many
+    # iterations without a stop test returns, and it is certified.
+    d, x = phantom_crop()
+    cfg = SparseCodeConfig(lam=0.05, max_iters=2000)
+    z, trace = fista_sparse_code(d, x, cfg, "patch", gap_tol=1e-6)
+    done = len(trace)
+    assert done < cfg.max_iters and done % GAP_CHECK_EVERY == 0
+    assert duality_gap(d, x, z, cfg.lam) <= 1e-6
+    z_ref, trace_ref = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=done), "patch")
+    assert np.array_equal(z, z_ref) and np.array_equal(trace, trace_ref)
+    _, earlier = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=done - GAP_CHECK_EVERY),
+                                   "patch", gap_tol=1e-6)
+    assert len(earlier) == done - GAP_CHECK_EVERY
+
+
+def test_gap_tolerance_needs_patch_mode(rng):
+    d = Dictionary.random(4, 3, 43)
+    with pytest.raises(ContractError):
+        fista_sparse_code(d, ImageGrid(rng.standard_normal((9, 9))), SparseCodeConfig(lam=0.05),
+                          "convolutional", gap_tol=1e-6)
+
+
+def test_descent_stop_test_sees_each_state():
+    seen = []
+
+    def stop(done, state, parts):
+        seen.append((done, state[0][0], parts[0]))
+        return done == 4
+
+    run = accelerated_descent(quadratic_step(1.0, 1.0), (np.ones(3),), 1.5, 10, stop)
+    assert [s[0] for s in seen] == [1, 2, 3, 4] and len(run.parts) == 4
+    assert seen[-1][1] == run.state[0][0] and seen[-1][2] == run.parts[-1][0]
 
 
 def test_fista_fixed_point():
