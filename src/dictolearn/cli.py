@@ -9,12 +9,17 @@ sinogram), ``train`` (dictionary from an image directory), ``reconstruct``
 Every config key is also a flag with the same name, underscores written
 as dashes (``phantom_size`` and ``--phantom-size``). Option precedence is
 flags over the ``--config`` key=value file over built-in defaults, and
-every value is parsed, by the type of its default, before the run manifest
-(inputs with content hashes, output paths, seed, every option in effect,
-library versions) is written and before any work. Booleans accept only
-1/0, true/false and yes/no. All randomness derives from one ``--seed``
-through named sub-streams. Exit codes: 0 success, 2 configuration, 3 file I/O or format,
-4 numeric contract violation, 5 verification failure.
+every value is parsed, by the type of its default, before any work.
+Booleans accept only 1/0, true/false and yes/no. All randomness derives
+from one ``--seed`` through named sub-streams. Exit codes: 0 success,
+2 configuration, 3 file I/O or format, 4 numeric contract violation,
+5 verification failure.
+
+Each ``cmd_*`` returns its exit code, its input paths and its outputs as
+file name -> writer. :func:`main` creates the output directory, writes
+the outputs, and then the run manifest (inputs with content hashes,
+output paths, seed, every option in effect, library versions), for exit
+codes 0 and 5 alike. A command that raises writes nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import platform
 import sys
 import time
 import zlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +74,14 @@ def _blob_hash(path: Path) -> str:
 _NOT_PARAMETERS = ("func", "table", "command", "config", "seed", "out")
 
 
-def _write_manifest(args, opt: dict, inputs, outputs):
-    """Record the run: every option in effect and the command's own flags."""
+def _write_manifest(args, opt: dict, inputs: dict, outputs):
+    """Record the run: input hashes, outputs, every option in effect and the command's flags."""
     out_dir = Path(args.out)
     flags = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     manifest = {
         "command": args.command,
         "config": str(args.config) if args.config else None,
-        "inputs": {str(p): _blob_hash(Path(p)) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(out_dir / o) for o in outputs],
         "seed": args.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -83,7 +89,6 @@ def _write_manifest(args, opt: dict, inputs, outputs):
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -194,8 +199,7 @@ def _read_sinogram(opt: dict, path) -> tomo.Sinogram:
         *values.shape, det_spacing, angular_range=opt["angular_range"]))
 
 
-def cmd_simulate(args, opt) -> int:
-    out = Path(args.out)
+def cmd_simulate(args, opt):
     geom = _geometry(opt)
     n, spacing = opt["phantom_size"], opt["pixel_spacing"]
     if opt["attenuation_scale"] < 0:
@@ -207,19 +211,19 @@ def cmd_simulate(args, opt) -> int:
     phantom = ImageGrid(phantom.values * opt["attenuation_scale"], spacing)
     noise = tomo.NoiseModel(opt["incident_photons"], _substream(args.seed, "simulate"))
 
-    outputs = ["phantom.dlgrid", "clean_sinogram.dlgrid", "counts.dlgrid", "sinogram.dlgrid"]
-    _write_manifest(args, opt, [], outputs)
-
     clean = tomo.forward_project(phantom, geom)
     counts = tomo.simulate_counts(phantom, geom, noise)
     noisy = tomo.linearize(counts, noise.incident_photons, geom)
 
-    fileio.write_grid(out / "phantom.dlgrid", phantom.values, spacing)
-    fileio.write_grid(out / "clean_sinogram.dlgrid", clean.values, geom.detector_spacing)
-    fileio.write_grid(out / "counts.dlgrid", counts, geom.detector_spacing)
-    fileio.write_grid(out / "sinogram.dlgrid", noisy.values, geom.detector_spacing)
-    print(f"simulate: wrote {len(outputs)} files to {out}")
-    return EXIT_OK
+    det = geom.detector_spacing
+    outputs = {
+        "phantom.dlgrid": lambda path: fileio.write_grid(path, phantom.values, spacing),
+        "clean_sinogram.dlgrid": lambda path: fileio.write_grid(path, clean.values, det),
+        "counts.dlgrid": lambda path: fileio.write_grid(path, counts, det),
+        "sinogram.dlgrid": lambda path: fileio.write_grid(path, noisy.values, det),
+    }
+    print(f"simulate: wrote {len(outputs)} files to {args.out}")
+    return EXIT_OK, [], outputs
 
 
 def _load_dataset(data_dir: Path):
@@ -229,8 +233,7 @@ def _load_dataset(data_dir: Path):
     return paths, [fileio.load_image(p) for p in paths]
 
 
-def cmd_train(args, opt) -> int:
-    out = Path(args.out)
+def cmd_train(args, opt):
     paths, dataset = _load_dataset(Path(args.data))
     c, lam0 = opt["adjust_constant"], opt["initial_lambda"]
     cfg = learn.TrainConfig(
@@ -241,76 +244,62 @@ def cmd_train(args, opt) -> int:
         initial_lambda=lam0 if lam0 != 0 else None,
         seed=_substream(args.seed, "train"),
     )
-    learn.check_crop_size(dataset, cfg.crop_size)
-    tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
-    geom = _geometry(opt) if opt["remove_low_frequency"] else None
-
-    outputs = ["dictionary.dldict", "train_log.csv"]
-    _write_manifest(args, opt, paths, outputs)
+    geom = None
+    if opt["remove_low_frequency"]:
+        geom = _geometry(opt)
+    else:
+        # Unused without the low-pass split, but still refused when out of range.
+        tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
 
     dictionary, log = learn.train_dictionary(dataset, cfg, geom, opt["lowpass_cutoff"])
-    fileio.write_dictionary(out / "dictionary.dldict", dictionary)
-    log.write_csv(out / "train_log.csv")
-    print(f"train: {cfg.steps} steps on {len(dataset)} images -> {out / 'dictionary.dldict'}")
-    return EXIT_OK
+    header = ("step", "lambda", "sparsity", "objective", "dead_atoms", "duality_gap")
+    rows = [astuple(record) for record in log.records]
+    print(f"train: {cfg.steps} steps on {len(dataset)} images "
+          f"-> {Path(args.out) / 'dictionary.dldict'}")
+    return EXIT_OK, paths, {
+        "dictionary.dldict": lambda path: fileio.write_dictionary(path, dictionary),
+        "train_log.csv": lambda path: fileio.write_csv(path, header, rows),
+    }
 
 
-def cmd_reconstruct(args, opt) -> int:
-    out = Path(args.out)
+def cmd_reconstruct(args, opt):
     y = _read_sinogram(opt, args.sinogram)
     n, spacing, method = opt["grid_size"], opt["pixel_spacing"], args.method
 
     inputs = [args.sinogram]
-    needs_dict = method in ("dict", "dict-patch")
-    if needs_dict:
+    header = ("iter", "objective")
+    coeffs = []
+    if method in ("dict", "dict-patch"):
         if not args.dictionary:
             raise ConfigError(f"method {method!r} requires --dictionary")
         inputs.append(args.dictionary)
         dictionary = fileio.read_dictionary(args.dictionary)
         cfg = recon.ReconConfig(lambda1=opt["lambda1"], lambda2=opt["lambda2"],
                                 iters=opt["iters"], lowpass_cutoff=opt["lowpass_cutoff"])
-    elif method == "huber":
-        hcfg = recon.HuberConfig(lam=opt["huber_lambda"], gamma=opt["huber_gamma"],
-                                 iters=opt["huber_iters"])
-    else:
-        tomo.check_cutoff(opt["fbp_cutoff"], "fbp_cutoff")
-
-    outputs = ["recon.dlgrid", "trace.csv"]
-    if args.save_coefficients and needs_dict:
-        outputs.append("coefficients.dlgrid")
-    _write_manifest(args, opt, inputs, outputs)
-
-    trace_rows = None
-    coeffs = None
-    if needs_dict:
         solver = recon.reconstruct_dict if method == "dict" else recon.reconstruct_dict_patch
-        result = solver(y, dictionary, cfg, (n, n), spacing,
-                        return_coefficients=args.save_coefficients)
-        if args.save_coefficients:
-            image, trace, coeffs = result
-        else:
-            image, trace = result
-        trace.write_csv(out / "trace.csv")
+        image, trace, *coeffs = solver(y, dictionary, cfg, (n, n), spacing,
+                                       return_coefficients=args.save_coefficients)
+        header += ("data_term", "coupling_term", "l1_term")
+        rows = [(i, *terms) for i, terms in enumerate(zip(
+            trace.objective, trace.data_term, trace.coupling_term, trace.l1_term))]
     elif method == "fbp":
         image = tomo.fbp(y, (n, n), spacing, window=opt["fbp_window"], cutoff=opt["fbp_cutoff"])
         loss, _ = tomo.data_loss_and_gradient(image, y)
-        trace_rows = [(0, loss)]
+        rows = [(0, loss)]
     else:
-        image, huber_trace = recon.reconstruct_huber(y, hcfg, (n, n), spacing, return_trace=True)
-        trace_rows = list(enumerate(huber_trace))
+        hcfg = recon.HuberConfig(lam=opt["huber_lambda"], gamma=opt["huber_gamma"],
+                                 iters=opt["huber_iters"])
+        image, objective = recon.reconstruct_huber(y, hcfg, (n, n), spacing, return_trace=True)
+        rows = list(enumerate(objective))
 
-    if trace_rows is not None:
-        with open(out / "trace.csv", "w") as fh:
-            fh.write("iter,objective\n")
-            for i, v in trace_rows:
-                fh.write(f"{i},{v!r}\n")
-    if coeffs is not None:
+    outputs = {"recon.dlgrid": lambda path: fileio.save_image(path, image),
+               "trace.csv": lambda path: fileio.write_csv(path, header, rows)}
+    if coeffs:
         # Channel-first stack: (m, rows, cols) -> (m * rows, cols).
-        fileio.write_grid(out / "coefficients.dlgrid", coeffs.reshape(-1, coeffs.shape[-1]),
-                          spacing)
-    fileio.save_image(out / "recon.dlgrid", image)
-    print(f"reconstruct[{method}]: wrote {out / 'recon.dlgrid'}")
-    return EXIT_OK
+        stack = coeffs[0].reshape(-1, coeffs[0].shape[-1])
+        outputs["coefficients.dlgrid"] = lambda path: fileio.write_grid(path, stack, spacing)
+    print(f"reconstruct[{method}]: wrote {Path(args.out) / 'recon.dlgrid'}")
+    return EXIT_OK, inputs, outputs
 
 
 def _metrics(recon_img: ImageGrid, truth: ImageGrid, data_range=None):
@@ -324,20 +313,16 @@ def _metrics(recon_img: ImageGrid, truth: ImageGrid, data_range=None):
     )
 
 
-def cmd_evaluate(args, opt) -> int:
-    out = Path(args.out)
+def cmd_evaluate(args, opt):
     report = _metrics(fileio.load_image(args.recon), fileio.load_image(args.truth),
                       args.data_range)
-    _write_manifest(args, opt, [args.recon, args.truth], ["metrics.csv"])
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("psnr,ssim\n")
-        fh.write(f"{report.psnr!r},{report.ssim!r}\n")
     print(f"psnr={report.psnr} ssim={report.ssim}")
-    return EXIT_OK
+    row = (report.psnr, report.ssim)
+    return EXIT_OK, [args.recon, args.truth], {
+        "metrics.csv": lambda path: fileio.write_csv(path, ("psnr", "ssim"), [row])}
 
 
-def cmd_sweep(args, opt) -> int:
-    out = Path(args.out)
+def cmd_sweep(args, opt):
     y = _read_sinogram(opt, args.sinogram)
     truth = fileio.load_image(args.truth)
     dictionary = fileio.read_dictionary(args.dictionary)
@@ -348,8 +333,6 @@ def cmd_sweep(args, opt) -> int:
                               lowpass_cutoff=opt["lowpass_cutoff"])
             for lam1 in opt["lambda1_grid"] for lam2 in opt["lambda2_grid"]]
 
-    _write_manifest(args, opt, [args.sinogram, args.truth, args.dictionary], ["sweep.csv"])
-
     rows = []
     for cfg in grid:
         image, _ = recon.reconstruct_dict(y, dictionary, cfg, (n, n), spacing)
@@ -357,19 +340,16 @@ def cmd_sweep(args, opt) -> int:
         rows.append((cfg.lambda1, cfg.lambda2, report.psnr, report.ssim))
         print(f"sweep lambda1={cfg.lambda1} lambda2={cfg.lambda2} "
               f"psnr={report.psnr:.3f} ssim={report.ssim:.4f}")
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("lambda1,lambda2,psnr,ssim\n")
-        for row in rows:
-            fh.write(",".join(repr(v) for v in row) + "\n")
-    return EXIT_OK
+    header = ("lambda1", "lambda2", "psnr", "ssim")
+    return EXIT_OK, [args.sinogram, args.truth, args.dictionary], {
+        "sweep.csv": lambda path: fileio.write_csv(path, header, rows)}
 
 
-def cmd_verify_elbo(args, opt) -> int:
+def cmd_verify_elbo(args, opt):
     if args.mc_samples != 0 and args.mc_samples < elbo.MC_MIN_SAMPLES:
         raise ContractError(f"--mc-samples must be 0 or at least {elbo.MC_MIN_SAMPLES}")
     if not args.samples_dir and args.count < 1:
         raise ConfigError("--count must be at least 1 without --samples-dir")
-    out = Path(args.out)
     dictionary = fileio.read_dictionary(args.dictionary)
     k = dictionary.atom_side
     params = elbo.ModelParams(sigma=args.sigma, b=args.b, b_star=args.b_star,
@@ -392,32 +372,25 @@ def cmd_verify_elbo(args, opt) -> int:
             x = d @ z + rng.normal(0.0, params.sigma, size=params.n)
             samples.append(x)
 
-    _write_manifest(args, opt, inputs, ["elbo_report.csv"])
-
-    violations = 0
-    with open(out / "elbo_report.csv", "w") as fh:
-        fh.write(",".join(("sample", *elbo.ElboReport.COLUMNS,
-                           "mc_estimate", "mc_stderr", "violation")) + "\n")
-        for i, x in enumerate(samples):
-            z_star = elbo.posterior_mode(x, dictionary, params)
-            report = elbo.elbo_lower_bound(x, dictionary, params, z_star)
-            if args.mc_samples > 0:
-                mc, se = elbo.elbo_monte_carlo(x, dictionary, params, z_star,
-                                               args.mc_samples,
-                                               _substream(args.seed, f"mc-{i}"))
-            else:
-                mc, se = math.nan, math.nan
-            bad = (report.elbo_exact < report.lower_bound - 1e-10
-                   or report.gap > report.gap_bound + 1e-10 or not report.certified)
-            violations += bad
-            row = (i, *report.as_dict().values(), mc, se, int(bad))
-            fh.write(",".join(repr(v) for v in row) + "\n")
+    rows = []
+    for i, x in enumerate(samples):
+        z_star = elbo.posterior_mode(x, dictionary, params)
+        report = elbo.elbo_lower_bound(x, dictionary, params, z_star)
+        if args.mc_samples > 0:
+            mc, se = elbo.elbo_monte_carlo(x, dictionary, params, z_star,
+                                           args.mc_samples,
+                                           _substream(args.seed, f"mc-{i}"))
+        else:
+            mc, se = math.nan, math.nan
+        rows.append((i, *report.as_dict().values(), mc, se, int(not report.holds)))
+    violations = sum(row[-1] for row in rows)
     print(f"verify-elbo: {len(samples)} samples, {violations} violations")
-    return EXIT_OK if violations == 0 else EXIT_VERIFY
+    header = ("sample", *elbo.ElboReport.COLUMNS, "mc_estimate", "mc_stderr", "violation")
+    return EXIT_OK if violations == 0 else EXIT_VERIFY, inputs, {
+        "elbo_report.csv": lambda path: fileio.write_csv(path, header, rows)}
 
 
-def cmd_atoms(args, opt) -> int:
-    out = Path(args.out)
+def cmd_atoms(args, opt):
     dictionary = fileio.read_dictionary(args.dictionary)
     m = dictionary.atom_count
     sets = []
@@ -432,16 +405,14 @@ def cmd_atoms(args, opt) -> int:
         order, scores = analytics.atom_significance(dictionary, sets)
     else:
         order, scores = np.arange(m), np.zeros(m)
-    _write_manifest(args, opt, [args.dictionary, *args.coefficients],
-                    ["atoms.pgm", "significance.csv"])
-
-    fileio.write_pgm16(out / "atoms.pgm", analytics.atom_montage(dictionary, order))
-    with open(out / "significance.csv", "w") as fh:
-        fh.write("rank,atom_index,score\n")
-        for rank, (idx, score) in enumerate(zip(order, scores)):
-            fh.write(f"{rank},{int(idx)},{float(score)!r}\n")
-    print(f"atoms: montage of {m} atoms -> {out / 'atoms.pgm'}")
-    return EXIT_OK
+    montage = analytics.atom_montage(dictionary, order)
+    print(f"atoms: montage of {m} atoms -> {Path(args.out) / 'atoms.pgm'}")
+    header = ("rank", "atom_index", "score")
+    rows = list(zip(range(m), order, scores))
+    return EXIT_OK, [args.dictionary, *args.coefficients], {
+        "atoms.pgm": lambda path: fileio.write_pgm16(path, montage),
+        "significance.csv": lambda path: fileio.write_csv(path, header, rows),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,7 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _options(args))
+        opt = _options(args)
+        code, inputs, outputs = args.func(args, opt)
+        # Hash the inputs before an output can overwrite one of them.
+        inputs = {str(p): _blob_hash(Path(p)) for p in inputs}
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(out_dir / name)
+        _write_manifest(args, opt, inputs, outputs)
+        return code
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

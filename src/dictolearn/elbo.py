@@ -51,6 +51,8 @@ __all__ = [
 MC_MIN_SAMPLES = 1000  # fewest draws elbo_monte_carlo accepts
 # Relative duality gap at which a z* counts as the mode (certified).
 MODE_GAP_TOL = 1e-10
+# posterior_mode's iteration cap: m = n = 64 models need up to about 3200.
+MODE_MAX_ITERS = 10_000
 _MC_BLOCK = 1 << 16
 _QUAD_BLOCK = 1 << 16
 # Quadrature nodes stream in blocks, so this caps time, not memory: 5e7
@@ -102,6 +104,12 @@ class ElboReport:
     @property
     def certified(self) -> bool:
         return self.mode_gap <= MODE_GAP_TOL
+
+    @property
+    def holds(self) -> bool:
+        """z* is certified and both bounds hold, up to 1e-10."""
+        return (self.certified and self.elbo_exact >= self.lower_bound - 1e-10
+                and self.gap <= self.gap_bound + 1e-10)
 
     COLUMNS = ("f_at_mode", "penalty_quad", "penalty_lin", "constant_c", "expected_f",
                "elbo_exact", "lower_bound", "gap", "gap_bound", "support_size", "mode_gap")
@@ -175,7 +183,7 @@ def _mode_problem(x, dict_: Dictionary, params: ModelParams):
 
 
 def posterior_mode(x, dict_: Dictionary, params: ModelParams,
-                   fista_iters: int = 2000) -> np.ndarray:
+                   fista_iters: int = MODE_MAX_ITERS) -> np.ndarray:
     """Mode of the joint density in z: minimizer of f(x, .).
 
     Minimizing f is equivalent to sparse coding with l1 weight

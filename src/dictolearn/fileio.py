@@ -1,10 +1,12 @@
-"""Binary grid/dictionary file formats, PGM export, key=value configs.
+"""Binary grid/dictionary file formats, PGM export, CSV tables, key=value configs.
 
 Grid files ("DLGRID1"): 7-byte magic, height and width as little-endian
 uint32, spacing as little-endian float32, then height*width little-endian
 float32 values row-major. Dictionary files ("DLDICT1"): magic, atom count
 and atom side as little-endian uint32, then m*k*k float32 values
-atom-major. Round trips are bit-exact for 32-bit payloads.
+atom-major. Round trips are bit-exact for 32-bit payloads. CSV tables
+have LF line endings and plain numbers only: integers as integers, every
+other value as the shortest text that reads back as the same float64.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "write_dictionary",
     "read_dictionary",
     "write_pgm16",
+    "write_csv",
     "read_config",
 ]
 
@@ -111,6 +114,16 @@ def write_pgm16(path, values: np.ndarray):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode())
         fh.write(scaled.astype(">u2").tobytes())
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one line per row of numbers, LF-terminated."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+                              for v in row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_config(path) -> dict:

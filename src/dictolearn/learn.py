@@ -10,7 +10,6 @@ its noise-free forward projection.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "remove_low_frequency",
     "adapt_lambda",
     "adam_update",
-    "check_crop_size",
     "train_dictionary",
 ]
 
@@ -122,15 +120,6 @@ class TrainLog:
             raise ContractError("log steps must be strictly increasing")
         self.records.append(rec)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "lambda", "sparsity", "objective", "dead_atoms",
-                             "duality_gap"])
-            for r in self.records:
-                writer.writerow([r.step, repr(r.lam), repr(r.sparsity), repr(r.objective), r.dead_atoms,
-                                 repr(r.duality_gap)])
-
 
 def remove_low_frequency(x: ImageGrid, geom: AcquisitionGeometry,
                          cutoff_fraction: float = 0.10) -> ImageGrid:
@@ -184,13 +173,6 @@ def _center_crop(values: np.ndarray, size: int) -> np.ndarray:
     return values[r0:r0 + size, c0:c0 + size]
 
 
-def check_crop_size(dataset, crop_size: int):
-    """Raise :class:`ContractError` unless every image holds a crop_size square."""
-    for img in dataset:
-        if img.height < crop_size or img.width < crop_size:
-            raise ContractError("crop_size exceeds an image in the dataset")
-
-
 def train_dictionary(dataset, cfg: TrainConfig,
                      geom: AcquisitionGeometry | None = None,
                      cutoff_fraction: float = 0.10):
@@ -218,8 +200,9 @@ def train_dictionary(dataset, cfg: TrainConfig,
     dataset = list(dataset)
     if not dataset:
         raise ContractError("dataset is empty")
+    if any(img.height < cfg.crop_size or img.width < cfg.crop_size for img in dataset):
+        raise ContractError("crop_size exceeds an image in the dataset")
     k = cfg.atom_side
-    check_crop_size(dataset, cfg.crop_size)
 
     rng = np.random.default_rng(cfg.seed)
     dictionary = Dictionary.random(cfg.atom_count, k, int(rng.integers(2 ** 31)))

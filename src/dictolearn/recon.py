@@ -31,7 +31,6 @@ step bounds once per solve; a rise after that is kept and counted in
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,14 +114,6 @@ class ReconTrace:
         self.data_term.append(data)
         self.coupling_term.append(coupling)
         self.l1_term.append(l1)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "objective", "data_term", "coupling_term", "l1_term"])
-            for i in range(len(self.objective)):
-                writer.writerow([i, repr(self.objective[i]), repr(self.data_term[i]),
-                                 repr(self.coupling_term[i]), repr(self.l1_term[i])])
 
 
 class _OverlapPatchCoupling:

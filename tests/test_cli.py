@@ -15,6 +15,7 @@ import scipy
 from dictolearn import cli, elbo
 from dictolearn.fileio import read_dictionary, read_grid, write_dictionary, write_grid
 from dictolearn.operators import Dictionary
+from dictolearn.sparse import DivergenceError
 
 
 GEOM_FLAGS = ["--num-angles", "24", "--num-bins", "48", "--detector-spacing", "1.0"]
@@ -267,6 +268,93 @@ def test_verify_elbo_uncertified_mode_exits_5(tmp_path, monkeypatch):
     with open(out / "elbo_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["violation"] for r in rows] == ["1", "1"]
+    # A verification failure still reports, so its manifest is written.
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "elbo_report.csv")]
+
+
+def test_verify_elbo_certifies_c07_sized_modes(tmp_path):
+    # m = n = 64: one of these 40 samples needs more than 2000 iterations to certify.
+    dict_path = Path(__file__).parents[1] / "perfbench" / "data" / "dict_c07.dldict"
+    out = tmp_path / "ve"
+    assert run("verify-elbo", "--dictionary", dict_path, "--sigma", 0.3, "--b", 0.4,
+               "--b-star", 0.05, "--count", 40, "--seed", 0, "--out", out) == cli.EXIT_OK
+    with open(out / "elbo_report.csv") as fh:
+        assert [r["violation"] for r in csv.DictReader(fh)] == ["0"] * 40
+
+
+def test_failed_solve_writes_no_manifest(tmp_path, monkeypatch):
+    # The manifest is written after the outputs, so a run that raises leaves none.
+    sim = simulate(tmp_path)
+    write_dictionary(tmp_path / "d.dldict", Dictionary.random(6, 4, 3))
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("objective is not finite", {})
+
+    monkeypatch.setattr(cli.recon, "reconstruct_dict", diverge)
+    out = tmp_path / "rec"
+    assert run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
+               "--dictionary", tmp_path / "d.dldict", "--method", "dict",
+               "--grid-size", 32, "--out", out) == cli.EXIT_CONTRACT
+    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+# Every CSV the pipeline writes, by output directory, with its documented header.
+CSV_HEADERS = {
+    "train/train_log.csv": "step,lambda,sparsity,objective,dead_atoms,duality_gap",
+    "dict/trace.csv": "iter,objective,data_term,coupling_term,l1_term",
+    "dict-patch/trace.csv": "iter,objective,data_term,coupling_term,l1_term",
+    "fbp/trace.csv": "iter,objective",
+    "huber/trace.csv": "iter,objective",
+    "eval/metrics.csv": "psnr,ssim",
+    "sweep/sweep.csv": "lambda1,lambda2,psnr,ssim",
+    "elbo/elbo_report.csv": "sample,f_at_mode,penalty_quad,penalty_lin,constant_c,expected_f,"
+                            "elbo_exact,lower_bound,gap,gap_bound,support_size,mode_gap,"
+                            "mc_estimate,mc_stderr,violation",
+    "atoms/significance.csv": "rank,atom_index,score",
+}
+
+
+def test_every_csv_is_plain_numbers_with_lf(tmp_path):
+    sim = simulate(tmp_path)
+    sino, truth = sim / "sinogram.dlgrid", sim / "phantom.dlgrid"
+    runs = tmp_path / "runs"
+    assert run("train", "--data", _train_data(tmp_path), "--atom-count", 4, "--atom-side", 4,
+               "--crop-size", 16, "--target-sparsity", 4, "--steps", 4,
+               "--validation-interval", 2, *GEOM_FLAGS, "--out", runs / "train") == 0
+    dict_path = runs / "train" / "dictionary.dldict"
+    for method in ("dict", "dict-patch", "fbp", "huber"):
+        assert run("reconstruct", "--sinogram", sino, "--dictionary", dict_path,
+                   "--method", method, "--grid-size", 32, "--iters", 3, "--huber-iters", 3,
+                   "--save-coefficients", "--out", runs / method) == 0
+    assert run("evaluate", "--recon", runs / "dict" / "recon.dlgrid", "--truth", truth,
+               "--out", runs / "eval") == 0
+    assert run("sweep", "--sinogram", sino, "--truth", truth, "--dictionary", dict_path,
+               "--lambda1-grid", "50,100", "--lambda2-grid", "0.05", "--grid-size", 32,
+               "--iters", 2, "--out", runs / "sweep") == 0
+    assert run("verify-elbo", "--dictionary", dict_path, "--sigma", 0.3, "--b", 0.4,
+               "--b-star", 0.05, "--count", 2, "--mc-samples", 1000,
+               "--out", runs / "elbo") == 0
+    assert run("atoms", "--dictionary", dict_path,
+               "--coefficients", runs / "dict-patch" / "coefficients.dlgrid",
+               "--out", runs / "atoms") == 0
+
+    written = sorted(p.relative_to(runs).as_posix() for p in runs.glob("*/*.csv"))
+    assert written == sorted(CSV_HEADERS)
+    for name, header in CSV_HEADERS.items():
+        data = (runs / name).read_bytes()
+        assert b"\r" not in data, name
+        lines = data.decode().split("\n")
+        assert lines[0] == header and lines[-1] == "" and len(lines) > 2, name
+        for line in lines[1:-1]:
+            fields = line.split(",")
+            assert len(fields) == len(header.split(",")), name
+            for field in fields:
+                try:
+                    int(field)
+                except ValueError:
+                    float(field)
 
 
 def test_atoms_zero_coefficients_index_order(tmp_path):

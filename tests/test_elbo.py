@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,19 @@ def test_c05_modes_certify():
     for d, params, x in c05_instances():
         report = elbo_lower_bound(x, d, params, posterior_mode(x, d, params))
         assert report.certified, report.mode_gap
+
+
+def test_holds_is_false_for_each_failure():
+    for d, params, x in c05_instances():
+        report = elbo_lower_bound(x, d, params, posterior_mode(x, d, params))
+        assert report.holds
+        # Each failure alone: ELBO below its bound, gap above its bound, z* uncertified.
+        below = replace(report, lower_bound=report.elbo_exact + 1e-9)
+        wide = replace(report, gap_bound=report.gap - 1e-9)
+        uncertified = replace(report, mode_gap=2 * elbo.MODE_GAP_TOL)
+        assert not below.holds and below.gap <= below.gap_bound and below.certified
+        assert not wide.holds and wide.elbo_exact >= wide.lower_bound and wide.certified
+        assert not uncertified.holds and uncertified.gap <= uncertified.gap_bound
 
 
 def test_report_values_are_plain_numbers(instance):

@@ -10,6 +10,7 @@ from dictolearn.fileio import (
     read_config,
     read_dictionary,
     read_grid,
+    write_csv,
     write_dictionary,
     write_grid,
     write_pgm16,
@@ -109,3 +110,10 @@ def test_read_config(tmp_path):
     bad.write_text("novalue\n")
     with pytest.raises(FormatError):
         read_config(bad)
+
+
+def test_write_csv_writes_plain_numbers_with_lf(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("i", "x", "y"), [(np.int64(3), np.float64(0.1), np.float32(0.5)),
+                                      (4, 1e-17, float("inf"))])
+    assert path.read_bytes() == b"i,x,y\n3,0.1,0.5\n4,1e-17,inf\n"

@@ -1,9 +1,11 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from dictolearn.analytics import random_ellipse_phantom
 from dictolearn.elbo import dense_matrix
-from dictolearn import learn
+from dictolearn import fileio, learn
 from dictolearn.learn import (
     AdamState,
     TrainConfig,
@@ -170,10 +172,16 @@ def test_train_logs_the_validation_duality_gap(tmp_path):
     (rec,) = log.records
     z, _ = fista_sparse_code(dic, image, SparseCodeConfig(lam=rec.lam, max_iters=10), "patch")
     assert rec.duality_gap == duality_gap(dic, image, z, rec.lam) > 0.0
-    log.write_csv(tmp_path / "train_log.csv")
+    # train_log.csv holds each record's fields in order, and reads back exactly.
+    assert [f.name for f in fields(rec)] == ["step", "lam", "sparsity", "objective",
+                                            "dead_atoms", "duality_gap"]
+    fileio.write_csv(tmp_path / "train_log.csv", ("step", "lambda", "sparsity", "objective",
+                                                  "dead_atoms", "duality_gap"), [astuple(rec)])
     header, row = (tmp_path / "train_log.csv").read_text().splitlines()
     assert header == "step,lambda,sparsity,objective,dead_atoms,duality_gap"
-    assert float(row.split(",")[-1]) == rec.duality_gap
+    values = row.split(",")
+    assert float(values[-1]) == rec.duality_gap
+    assert (int(values[0]), *map(float, values[1:4]), int(values[4])) == astuple(rec)[:5]
 
 
 def test_train_gap_changes_nothing_else(monkeypatch):
