@@ -55,7 +55,6 @@ from .elbo import (
     posterior_mode,
 )
 from .analytics import (
-    MetricReport,
     atom_montage,
     atom_significance,
     psnr,

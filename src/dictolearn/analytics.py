@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -11,7 +10,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .operators import ContractError, Dictionary, ImageGrid
 
 __all__ = [
-    "MetricReport",
     "psnr",
     "ssim",
     "SHEPP_LOGAN_ELLIPSES",
@@ -22,12 +20,6 @@ __all__ = [
     "atom_significance",
     "atom_montage",
 ]
-
-
-@dataclass
-class MetricReport:
-    psnr: float
-    ssim: float
 
 
 def psnr(a: ImageGrid, b: ImageGrid, data_range: float) -> float:

@@ -280,8 +280,7 @@ def cmd_reconstruct(args, opt):
         image, trace, *coeffs = solver(y, dictionary, cfg, (n, n), spacing,
                                        return_coefficients=args.save_coefficients)
         header += ("data_term", "coupling_term", "l1_term")
-        rows = [(i, *terms) for i, terms in enumerate(zip(
-            trace.objective, trace.data_term, trace.coupling_term, trace.l1_term))]
+        rows = [(i, f, *parts) for i, (f, parts) in enumerate(zip(trace.objective, trace.parts))]
     elif method == "fbp":
         image = tomo.fbp(y, (n, n), spacing, window=opt["fbp_window"], cutoff=opt["fbp_cutoff"])
         loss, _ = tomo.data_loss_and_gradient(image, y)
@@ -307,19 +306,16 @@ def _metrics(recon_img: ImageGrid, truth: ImageGrid, data_range=None):
         data_range = float(truth.values.max() - truth.values.min())
         if data_range <= 0:
             data_range = 1.0
-    return analytics.MetricReport(
-        psnr=analytics.psnr(recon_img, truth, data_range),
-        ssim=analytics.ssim(recon_img, truth, data_range),
-    )
+    return (analytics.psnr(recon_img, truth, data_range),
+            analytics.ssim(recon_img, truth, data_range))
 
 
 def cmd_evaluate(args, opt):
-    report = _metrics(fileio.load_image(args.recon), fileio.load_image(args.truth),
-                      args.data_range)
-    print(f"psnr={report.psnr} ssim={report.ssim}")
-    row = (report.psnr, report.ssim)
+    psnr, ssim = _metrics(fileio.load_image(args.recon), fileio.load_image(args.truth),
+                          args.data_range)
+    print(f"psnr={psnr} ssim={ssim}")
     return EXIT_OK, [args.recon, args.truth], {
-        "metrics.csv": lambda path: fileio.write_csv(path, ("psnr", "ssim"), [row])}
+        "metrics.csv": lambda path: fileio.write_csv(path, ("psnr", "ssim"), [(psnr, ssim)])}
 
 
 def cmd_sweep(args, opt):
@@ -336,10 +332,10 @@ def cmd_sweep(args, opt):
     rows = []
     for cfg in grid:
         image, _ = recon.reconstruct_dict(y, dictionary, cfg, (n, n), spacing)
-        report = _metrics(image, truth)
-        rows.append((cfg.lambda1, cfg.lambda2, report.psnr, report.ssim))
+        psnr, ssim = _metrics(image, truth)
+        rows.append((cfg.lambda1, cfg.lambda2, psnr, ssim))
         print(f"sweep lambda1={cfg.lambda1} lambda2={cfg.lambda2} "
-              f"psnr={report.psnr:.3f} ssim={report.ssim:.4f}")
+              f"psnr={psnr:.3f} ssim={ssim:.4f}")
     header = ("lambda1", "lambda2", "psnr", "ssim")
     return EXIT_OK, [args.sinogram, args.truth, args.dictionary], {
         "sweep.csv": lambda path: fileio.write_csv(path, header, rows)}

@@ -40,6 +40,9 @@ __all__ = [
 # support counting treats |z| <= 1e-8 * max|z| as zero.
 SPARSITY_EPS = 1e-8
 
+# Share of the dataset held out for validation, at least one image.
+VALIDATION_FRACTION = 0.01
+
 
 @dataclass
 class TrainConfig:
@@ -65,7 +68,6 @@ class TrainConfig:
     fista_iters: int = 50
     seed: int = 0
     initial_lambda: float | None = None
-    validation_fraction: float = 0.01
 
     def __post_init__(self):
         if self.atom_count < 1 or self.atom_side < 1:
@@ -84,8 +86,6 @@ class TrainConfig:
             raise ContractError("learning_rate and epsilon must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ContractError("beta1 and beta2 must lie in [0, 1)")
-        if not 0 < self.validation_fraction <= 1:
-            raise ContractError("validation_fraction must lie in (0, 1]")
 
 
 @dataclass
@@ -207,7 +207,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     dictionary = Dictionary.random(cfg.atom_count, k, int(rng.integers(2 ** 31)))
 
-    n_val = max(1, round(cfg.validation_fraction * len(dataset)))
+    n_val = max(1, round(VALIDATION_FRACTION * len(dataset)))
     order = rng.permutation(len(dataset))
     val_idx = order[:n_val]
     train_idx = order[n_val:] if len(dataset) > n_val else order

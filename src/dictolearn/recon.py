@@ -26,12 +26,12 @@ Both methods and the Huber baseline run :func:`accelerated_descent`, so
 they share one restart policy. An objective rise beyond rounding restarts
 the momentum from the last iterate; a rise from a plain step doubles the
 step bounds once per solve; a rise after that is kept and counted in
-``ReconTrace.unresolved``. With valid bounds traces are non-increasing.
+``Descent.unresolved``. With valid bounds traces are non-increasing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,7 +44,6 @@ from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_l
 __all__ = [
     "ReconConfig",
     "HuberConfig",
-    "ReconTrace",
     "reconstruct_dict",
     "reconstruct_dict_patch",
     "reconstruct_huber",
@@ -90,30 +89,6 @@ class HuberConfig:
     def __post_init__(self):
         if not (self.lam > 0 and self.gamma > 0 and self.iters >= 1):
             raise ContractError("HuberConfig values must be positive")
-
-
-@dataclass
-class ReconTrace:
-    """Per-iteration objective decomposition of one reconstruction.
-
-    ``restarts``, ``halvings`` and ``unresolved`` are the counters of
-    :func:`accelerated_descent`; ``unresolved`` counts rises that were
-    kept anyway.
-    """
-
-    objective: list[float] = field(default_factory=list)
-    data_term: list[float] = field(default_factory=list)
-    coupling_term: list[float] = field(default_factory=list)
-    l1_term: list[float] = field(default_factory=list)
-    halvings: int = 0
-    restarts: int = 0
-    unresolved: int = 0
-
-    def append(self, data, coupling, l1):
-        self.objective.append(data + coupling + l1)
-        self.data_term.append(data)
-        self.coupling_term.append(coupling)
-        self.l1_term.append(l1)
 
 
 class _OverlapPatchCoupling:
@@ -192,16 +167,11 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
 
     z = coupling.z_zero()
     start = (x, proj.forward(x), z, coupling.synth(z))
-    run = accelerated_descent(step, start, sum(objective_parts(*start)), cfg.iters)
-    trace = ReconTrace(halvings=run.halvings, restarts=run.restarts, unresolved=run.unresolved)
-    for parts in run.parts:
-        trace.append(*parts)
-
-    x, _, z, _ = run.state
+    (x, _, z, _), run = accelerated_descent(step, start, sum(objective_parts(*start)), cfg.iters)
     image = ImageGrid(x_lf + x, pixel_spacing)
     if return_coefficients:
-        return image, trace, z
-    return image, trace
+        return image, run, z
+    return image, run
 
 
 def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
@@ -210,8 +180,10 @@ def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     """Reconstruct with the convolutional synthesis regularizer.
 
     Returns ``(image, trace)`` where the image is the fixed low-pass FBP
-    component plus the optimized high-frequency part; with
-    ``return_coefficients`` also the final channel-first coefficients.
+    component plus the optimized high-frequency part and the trace is the
+    solve's :class:`~dictolearn.sparse.Descent`, with the parts
+    (data, coupling, l1) per iteration; with ``return_coefficients`` also
+    the final channel-first coefficients.
     """
     coupling = SynthesisCoupling(dict_, "convolutional", grid_shape, cfg.lambda1, cfg.lambda2)
     return _accelerated_recon(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
@@ -305,8 +277,8 @@ def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
 
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=0.75).values
     start = (x, proj.forward(x))
-    run = accelerated_descent(step, start, _huber_objective(*start, y, w, cfg), cfg.iters)
-    image = ImageGrid(run.state[0], pixel_spacing)
+    (x, _), run = accelerated_descent(step, start, _huber_objective(*start, y, w, cfg), cfg.iters)
+    image = ImageGrid(x, pixel_spacing)
     if return_trace:
-        return image, [parts[0] for parts in run.parts]
+        return image, run.objective
     return image

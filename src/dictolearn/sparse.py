@@ -117,16 +117,17 @@ def sparse_objective(dict_: Dictionary, z: np.ndarray, x: ImageGrid, lam: float,
 
 @dataclass
 class Descent:
-    """Final state, objective parts per iteration and restart counters of a solve."""
+    """Record of a solve: per iteration the objective parts and their sum, and restart counters."""
 
-    state: tuple
     parts: list = field(default_factory=list)
+    objective: list = field(default_factory=list)
     restarts: int = 0
     halvings: int = 0
     unresolved: int = 0
 
 
-def accelerated_descent(step, start, f_start: float, iters: int, stop=None) -> Descent:
+def accelerated_descent(step, start, f_start: float, iters: int,
+                        stop=None) -> tuple[tuple, Descent]:
     """Accelerated proximal gradient with function-value restart.
 
     ``start`` is a tuple of arrays: the iterate plus any linear images of
@@ -150,11 +151,14 @@ def accelerated_descent(step, start, f_start: float, iters: int, stop=None) -> D
     parts; the solve ends early when it returns true. It only truncates
     the trajectory: the state at the stop is the state a run without a
     stop test holds after ``done`` iterations.
+
+    Returns ``(state, Descent)``: the final state, a tuple like ``start``,
+    and the record of the solve.
     """
     slack = 1e-12 * max(1.0, abs(f_start))
     state = point = start
     f_last, t, scale = f_start, 1.0, 1.0
-    run = Descent(start)
+    run = Descent()
     for it in range(iters):
         while True:
             new, parts = step(point, scale)
@@ -162,7 +166,7 @@ def accelerated_descent(step, start, f_start: float, iters: int, stop=None) -> D
             if not math.isfinite(f):
                 raise DivergenceError(
                     f"non-finite objective at iteration {it}",
-                    {"iteration": it, "objective": f, "trace": [sum(p) for p in run.parts],
+                    {"iteration": it, "objective": f, "trace": run.objective,
                      "max_abs": [float(np.max(np.abs(a))) for a in new]},
                 )
             if f <= f_last + slack:
@@ -181,10 +185,10 @@ def accelerated_descent(step, start, f_start: float, iters: int, stop=None) -> D
         point = new if mom == 0.0 else tuple(a + mom * (a - b) for a, b in zip(new, state))
         state, f_last, t = new, f, t_next
         run.parts.append(parts)
+        run.objective.append(f)
         if stop is not None and stop(len(run.parts), state, parts):
             break
-    run.state = state
-    return run
+    return state, run
 
 
 class SynthesisCoupling:
@@ -318,12 +322,12 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
     z = coupling.z_zero()
     start = (z, coupling.synth(z))
     try:
-        run = accelerated_descent(step, start, sum(z_parts(coupling, x.values, *start)),
-                                  cfg.max_iters, None if gap_tol is None else stop)
+        (z, _), run = accelerated_descent(step, start, sum(z_parts(coupling, x.values, *start)),
+                                          cfg.max_iters, None if gap_tol is None else stop)
     except DivergenceError as err:
         err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=coupling.lz / 2.0)
         raise
-    return run.state[0], np.array([sum(p) for p in run.parts])
+    return z, np.array(run.objective)
 
 
 def duality_gap(dict_: Dictionary, x: ImageGrid, z: np.ndarray, lam: float) -> float:

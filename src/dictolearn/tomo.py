@@ -382,16 +382,13 @@ def data_lipschitz(proj: Projector, w: np.ndarray) -> float:
     return 2.0 * float(np.max(w)) * proj.norm_sq()
 
 
-def data_loss_and_gradient(x: ImageGrid, y: Sinogram,
-                           weights: np.ndarray | None = None):
+def data_loss_and_gradient(x: ImageGrid, y: Sinogram):
     """Weighted least-squares data term and its gradient.
 
     Returns ``(sum_i w_i (A(x)_i - y_i)^2, 2 A^T(w * (A(x) - y)))`` with
-    weights fixed from ``y`` unless supplied.
+    the weights :func:`likelihood_weights` fixes from ``y``.
     """
-    if weights is None:
-        weights = likelihood_weights(y)
+    w = likelihood_weights(y)
     proj = get_projector(y.geometry, x.shape, x.pixel_spacing)
     ax = proj.forward(x.values)
-    return (data_loss(ax, y.values, weights),
-            x.like(data_gradient(proj, ax, y.values, weights)))
+    return data_loss(ax, y.values, w), x.like(data_gradient(proj, ax, y.values, w))

@@ -107,6 +107,26 @@ def test_reconstruct_dict_trace_monotone(tmp_path):
     assert coeff.shape == (6 * 32, 32)
 
 
+@pytest.mark.parametrize("method", ["dict", "dict-patch"])
+def test_reconstruct_trace_rows_sum_their_terms(tmp_path, method):
+    # One row per iteration, each objective the sum of its three terms bit
+    # for bit: the CSV writes floats by repr, which reads back exactly.
+    sim = simulate(tmp_path)
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, Dictionary.random(6, 4, 3))
+    out = tmp_path / method
+    assert run("reconstruct", "--sinogram", sim / "sinogram.dlgrid",
+               "--dictionary", dict_path, "--method", method,
+               "--grid-size", 32, "--lambda1", 100, "--lambda2", 0.05,
+               "--iters", 7, "--out", out) == 0
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["iter"]) for r in rows] == list(range(7))
+    for r in rows:
+        data, coupling, l1 = (float(r[k]) for k in ("data_term", "coupling_term", "l1_term"))
+        assert float(r["objective"]) == data + coupling + l1
+
+
 def test_dict_patch_coefficients_are_ranked_by_atoms(tmp_path):
     # dict-patch z has one map per atom over the 32 + 4 - 1 patch positions.
     sim = simulate(tmp_path)

@@ -128,8 +128,9 @@ def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
     descent = sparse.accelerated_descent
 
     def recorded(*args):
-        runs.append(descent(*args))
-        return runs[-1]
+        state, run = descent(*args)
+        runs.append(run)
+        return state, run
 
     monkeypatch.setattr(sparse, "accelerated_descent", recorded)
     iters, restart_allowance = 2000, 10

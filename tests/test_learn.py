@@ -229,8 +229,7 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("learning_rate", -1e-3), ("learning_rate", 0.0), ("beta1", -0.5), ("beta1", 1.0),
-    ("beta2", 1.0), ("epsilon", 0.0), ("validation_fraction", 0.0),
-    ("validation_fraction", 1.5), ("validation_fraction", float("nan")),
+    ("beta2", 1.0), ("epsilon", 0.0),
 ])
 def test_train_config_rejects_adam_and_validation_constants(key, value):
     with pytest.raises(ContractError, match=key):
@@ -239,7 +238,7 @@ def test_train_config_rejects_adam_and_validation_constants(key, value):
 
 def test_train_config_accepts_range_ends():
     TrainConfig(atom_count=4, atom_side=8, target_sparsity=4.0, crop_size=32,
-                beta1=0.0, beta2=0.0, validation_fraction=1.0)
+                beta1=0.0, beta2=0.0)
 
 
 def test_full_scale_configuration_accepted():

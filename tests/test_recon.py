@@ -87,8 +87,32 @@ def test_reconstruct_dict_huge_lambda2_kills_coefficients(noisy_problem, diction
     _, y = noisy_problem
     cfg = ReconConfig(lambda1=100.0, lambda2=1e9, iters=25, lowpass_cutoff=0.10, seed=0)
     _, trace = reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
-    assert max(trace.l1_term) == 0.0
-    assert trace.data_term[-1] <= trace.data_term[0]
+    data, _, l1 = zip(*trace.parts)
+    assert max(l1) == 0.0
+    assert data[-1] <= data[0]
+
+
+def _leaves(value):
+    """Every non-container value reachable from ``value`` through dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _leaves(v)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
+def test_trace_is_a_state_free_record(solver, noisy_problem, dictionary):
+    # The objective is the sum of the parts, bit for bit, and the record
+    # holds numbers only: no iterate outlives the solve through it.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=6, lowpass_cutoff=0.10)
+    _, trace = solver(y, dictionary, cfg, (N, N), SPACING)
+    assert len(trace.parts) == cfg.iters and all(len(p) == 3 for p in trace.parts)
+    assert trace.objective == [sum(p) for p in trace.parts]
+    leaves = _leaves(vars(trace))
+    assert not any(isinstance(leaf, np.ndarray) for leaf in leaves)
+    assert all(type(leaf) in (int, float) for leaf in leaves)
 
 
 @pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
@@ -206,7 +230,7 @@ def test_patch_and_conv_identical_when_z_dead(noisy_problem, dictionary):
     img_c, tr_c = reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
     img_p, tr_p = reconstruct_dict_patch(y, dictionary, cfg, (N, N), SPACING)
     np.testing.assert_array_equal(img_c.values, img_p.values)
-    assert max(tr_c.l1_term) == max(tr_p.l1_term) == 0.0
+    assert max(p[2] for p in tr_c.parts) == max(p[2] for p in tr_p.parts) == 0.0
 
 
 def test_stationary_point_is_fixed():

@@ -190,8 +190,9 @@ def test_patch_fista_gram_form_matches_residual_form():
 
     zero = reference.z_zero()
     start = (zero, reference.synth(zero))
-    run = accelerated_descent(step, start, sum(z_parts(reference, x.values, *start)), iters)
-    assert np.max(np.abs(z - run.state[0])) <= 1e-12
+    (z_ref, _), _ = accelerated_descent(step, start, sum(z_parts(reference, x.values, *start)),
+                                        iters)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam, "patch"), rel=1e-12)
 
 
@@ -262,9 +263,9 @@ def test_descent_stop_test_sees_each_state():
         seen.append((done, state[0][0], parts[0]))
         return done == 4
 
-    run = accelerated_descent(quadratic_step(1.0, 1.0), (np.ones(3),), 1.5, 10, stop)
+    state, run = accelerated_descent(quadratic_step(1.0, 1.0), (np.ones(3),), 1.5, 10, stop)
     assert [s[0] for s in seen] == [1, 2, 3, 4] and len(run.parts) == 4
-    assert seen[-1][1] == run.state[0][0] and seen[-1][2] == run.parts[-1][0]
+    assert seen[-1][1] == state[0][0] and seen[-1][2] == run.parts[-1][0]
 
 
 def test_fista_fixed_point():
@@ -339,7 +340,7 @@ def test_descent_restarts_momentum_on_extrapolated_rise():
     curvature = np.array([1.0, 100.0])
     start = np.array([1.0, 1.0])
     f_start = 0.5 * float(np.sum(curvature * start ** 2))
-    run = accelerated_descent(quadratic_step(curvature, 100.0), (start,), f_start, 200)
+    _, run = accelerated_descent(quadratic_step(curvature, 100.0), (start,), f_start, 200)
     obj = np.array([p[0] for p in run.parts])
     assert run.restarts > 0
     assert run.halvings == run.unresolved == 0
@@ -351,7 +352,7 @@ def test_descent_halves_once_then_counts_kept_rises(too_small, unresolved):
     # With a bound too_small times below the curvature a plain step
     # rises. Doubling the bound repairs a factor below 4; past that every
     # step rises even without momentum, and each kept rise is counted.
-    run = accelerated_descent(quadratic_step(1.0, 1.0 / too_small), (np.ones(3),), 1.5, 6)
+    _, run = accelerated_descent(quadratic_step(1.0, 1.0 / too_small), (np.ones(3),), 1.5, 6)
     obj = np.array([1.5] + [p[0] for p in run.parts])
     assert run.halvings == 1
     assert run.unresolved == unresolved == int(np.sum(np.diff(obj) > 0.0))
@@ -367,7 +368,7 @@ def test_descent_ignores_rises_within_slack():
         scales.append(scale)
         return (0.5 * point[0],), (10.0 + 4e-12 * len(scales),)
 
-    run = accelerated_descent(step, (np.ones(3),), 10.0, 20)
+    _, run = accelerated_descent(step, (np.ones(3),), 10.0, 20)
     assert scales == [1.0] * 20
     assert run.restarts == run.halvings == run.unresolved == 0
 
