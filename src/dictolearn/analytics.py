@@ -34,40 +34,39 @@ def psnr(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
     return 10.0 * math.log10(data_range ** 2 / mse)
 
 
-def _gaussian_window(side: int, sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
-    ax = np.arange(side) - (side - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    return g / g.sum()
+# SSIM's window is the outer product of an 11-point normalized Gaussian of
+# width 1.5; K1 and K2 set its stabilizers (Wang, Bovik, Sheikh & Simoncelli,
+# IEEE TIP 2004).
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+_SSIM_G = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2)
+                 / (2.0 * SSIM_SIGMA ** 2))
+_SSIM_G /= _SSIM_G.sum()
 
 
-def ssim(a: ImageGrid, b: ImageGrid, data_range: float, window_side: int = 11,
-         k1: float = 0.01, k2: float = 0.03, sigma: float = 1.5) -> float:
+def ssim(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
     """Mean local structural similarity with a Gaussian window.
 
-    Local statistics are weighted by an 11x11 ``sigma=1.5`` Gaussian and
-    taken over fully valid windows only (no padding), in two 1-D passes.
+    Local statistics are weighted by the ``SSIM_*`` window over fully
+    valid windows only (no padding), in two 1-D passes.
     """
     if a.shape != b.shape:
         raise ContractError("images must share a shape")
-    if window_side < 1:
-        raise ContractError("window_side must be at least 1")
-    if not sigma > 0:
-        raise ContractError("sigma must be positive")
-    if min(a.shape) < window_side:
+    if min(a.shape) < SSIM_WINDOW:
         raise ContractError("image smaller than the SSIM window")
     if not data_range > 0:
         raise ContractError("data_range must be positive")
-    g = _gaussian_window(window_side, sigma)
     av, bv = a.values, b.values
     planes = np.stack((av, bv, av * av, bv * bv, av * bv))
-    cols = sliding_window_view(planes, window_side, axis=1) @ g
-    mu_a, mu_b, m_aa, m_bb, m_ab = sliding_window_view(cols, window_side, axis=2) @ g
+    cols = sliding_window_view(planes, SSIM_WINDOW, axis=1) @ _SSIM_G
+    mu_a, mu_b, m_aa, m_bb, m_ab = sliding_window_view(cols, SSIM_WINDOW, axis=2) @ _SSIM_G
     var_a = m_aa - mu_a ** 2
     var_b = m_bb - mu_b ** 2
     cov = m_ab - mu_a * mu_b
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -180,11 +179,9 @@ def atom_significance(dict_: Dictionary, coefficient_sets):
     return order, scores[order]
 
 
-def atom_montage(dict_: Dictionary, order=None, pad: int = 1) -> np.ndarray:
-    """Tile atoms into one sheet, row-major in the given order."""
-    m, k = dict_.atom_count, dict_.atom_side
-    if order is None:
-        order = np.arange(m)
+def atom_montage(dict_: Dictionary, order) -> np.ndarray:
+    """Tile atoms into one sheet, row-major in the given order, one zero pixel apart."""
+    m, k, pad = dict_.atom_count, dict_.atom_side, 1
     cols = int(np.ceil(np.sqrt(m)))
     rows = int(np.ceil(m / cols))
     sheet = np.zeros((rows * (k + pad) + pad, cols * (k + pad) + pad))

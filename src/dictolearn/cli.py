@@ -120,9 +120,6 @@ TRAIN = {
     "crop_size": 128,
     "steps": 5000,
     "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
     "validation_interval": 50,
     "fista_iters": 50,
     "initial_lambda": 0.0,         # 0 -> derived default
@@ -239,7 +236,7 @@ def cmd_train(args, opt):
     cfg = learn.TrainConfig(
         **{key: opt[key] for key in (
             "atom_count", "atom_side", "target_sparsity", "crop_size", "steps",
-            "learning_rate", "beta1", "beta2", "epsilon", "validation_interval", "fista_iters")},
+            "learning_rate", "validation_interval", "fista_iters")},
         adjust_constant=c if c != 0 else None,
         initial_lambda=lam0 if lam0 != 0 else None,
         seed=_substream(args.seed, "train"),

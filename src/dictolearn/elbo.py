@@ -41,7 +41,6 @@ __all__ = [
     "joint_log_density",
     "posterior_mode",
     "mode_gap",
-    "expected_l1_laplace",
     "elbo_lower_bound",
     "elbo_monte_carlo",
     "log_evidence_quadrature",
@@ -55,6 +54,8 @@ MODE_GAP_TOL = 1e-10
 MODE_MAX_ITERS = 10_000
 _MC_BLOCK = 1 << 16
 _QUAD_BLOCK = 1 << 16
+# Half-width of the quadrature box, in units of the prior scale b.
+QUADRATURE_SPAN = 30.0
 # Quadrature nodes stream in blocks, so this caps time, not memory: 5e7
 # nodes (m = 3, n = 4) took about 7 s on one x86-64 core.
 _GRID_BUDGET = 50_000_000
@@ -71,8 +72,8 @@ class ModelParams:
     m: int
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.b > 0 and self.b_star > 0):
-            raise ContractError("sigma, b, b_star must be positive")
+        if not all(0 < v < np.inf for v in (self.sigma, self.b, self.b_star)):
+            raise ContractError("sigma, b, b_star must be positive and finite")
         if self.n < 1 or self.m < 1:
             raise ContractError("dimensions must be positive")
 
@@ -212,23 +213,16 @@ def mode_gap(x, z, dict_: Dictionary, params: ModelParams) -> float:
     return duality_gap(dict_, image, z, lam)
 
 
-def expected_l1_laplace(center: np.ndarray, scale: float) -> float:
-    """Mean of ||z~||_1 for z~ ~ Laplace(center, scale), folded in closed form."""
-    center = np.asarray(center, dtype=np.float64).ravel()
-    return float(np.sum(np.abs(center)) + scale * np.sum(np.exp(-np.abs(center) / scale)))
-
-
 def elbo_lower_bound(x, dict_: Dictionary, params: ModelParams,
-                     z_star: np.ndarray | None = None) -> ElboReport:
-    """Closed-form ELBO, its lower bound, and the gap bound.
+                     z_star: np.ndarray) -> ElboReport:
+    """Closed-form ELBO, its lower bound, and the gap bound at the mode ``z_star``.
 
-    The exact route evaluates ``E_q[f]`` through the folded-Laplace
-    expectation; the lower bound replaces each ``exp(-|z*_i|/b_star)``
-    by 1. Their difference never exceeds ``(b_star / b) ||z*||_0``.
+    ``E_q[f]`` uses the folded Laplace mean ``|z*_i| + b_star
+    exp(-|z*_i|/b_star)``; the lower bound replaces each exponential by 1.
+    Their difference never exceeds ``(b_star / b) ||z*||_0``. ``mode_gap``
+    certifies the :func:`posterior_mode` result passed in.
     """
     x = _check_dims(x, dict_, params)
-    if z_star is None:
-        z_star = posterior_mode(x, dict_, params)
     z_star = np.asarray(z_star, dtype=np.float64).ravel()
     sigma, b, bs, n, m = params.sigma, params.b, params.b_star, params.n, params.m
 
@@ -308,21 +302,23 @@ def elbo_monte_carlo(x, dict_: Dictionary, params: ModelParams, z_star: np.ndarr
 
 
 def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
-                            points: int = 2001, span: float = 30.0) -> float:
+                            points: int = 2001) -> float:
     """Trapezoid tensor-grid evaluation of the log evidence.
 
-    Integrates the joint density over Z on ``[-span*b, span*b]^m`` in
-    blocks of nodes, one ``logsumexp`` each, so memory stays flat; feasible
-    only for very small m (the grid is capped at 5e7 nodes).
+    Integrates the joint density over Z on ``[-QUADRATURE_SPAN b,
+    QUADRATURE_SPAN b]^m`` with ``points`` nodes per axis, in blocks of
+    nodes, one ``logsumexp`` each, so memory stays flat; feasible only for
+    very small m (the grid is capped at 5e7 nodes).
     """
     x = _check_dims(x, dict_, params)
     m = params.m
-    if points < 2 or not span > 0:
-        raise ContractError("quadrature needs points >= 2 and span > 0")
+    if points < 2:
+        raise ContractError("quadrature needs points >= 2")
     if points ** m > _GRID_BUDGET:
         raise ContractError(f"grid of {points}^{m} nodes exceeds the quadrature budget")
     d = dense_matrix(dict_)
-    axis = np.linspace(-span * params.b, span * params.b, points)
+    span = QUADRATURE_SPAN * params.b
+    axis = np.linspace(-span, span, points)
     log_stepw = np.log(np.full(points, axis[1] - axis[0]))
     log_stepw[[0, -1]] += np.log(0.5)
 

@@ -43,6 +43,11 @@ SPARSITY_EPS = 1e-8
 # Share of the dataset held out for validation, at least one image.
 VALIDATION_FRACTION = 0.01
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -61,9 +66,6 @@ class TrainConfig:
     crop_size: int = 128
     steps: int = 50_000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     validation_interval: int = 50
     fista_iters: int = 50
     seed: int = 0
@@ -82,10 +84,8 @@ class TrainConfig:
             raise ContractError("crop_size must be divisible by atom_side")
         if self.steps < 0 or self.fista_iters < 1 or self.validation_interval < 1:
             raise ContractError("steps, fista_iters, validation_interval out of range")
-        if not (self.learning_rate > 0 and self.epsilon > 0):
-            raise ContractError("learning_rate and epsilon must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ContractError("beta1 and beta2 must lie in [0, 1)")
+        if not self.learning_rate > 0:
+            raise ContractError("learning_rate must be positive")
 
 
 @dataclass
@@ -149,20 +149,19 @@ def adapt_lambda(lam: float, s_hat: float, s: float, c: float, t: int) -> float:
 
 
 def adam_update(state: AdamState, grad: np.ndarray, atoms: np.ndarray,
-                learning_rate: float = 1e-3, beta1: float = 0.9,
-                beta2: float = 0.999, epsilon: float = 1e-8):
-    """One bias-corrected Adam step on the atoms.
+                learning_rate: float):
+    """One bias-corrected Adam step on the atoms, with the ``ADAM_*`` constants.
 
     Returns updated ``(AdamState, atoms)`` without mutating the inputs.
     """
     if grad.shape != atoms.shape or state.m.shape != atoms.shape:
         raise ContractError("gradient/state shape mismatch")
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    new_atoms = atoms - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_atoms = atoms - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return AdamState(m, v, step), new_atoms
 
 
@@ -248,8 +247,7 @@ def train_dictionary(dataset, cfg: TrainConfig,
         crop = random_crop(highpass[int(rng.choice(train_idx))])
         z, _ = code(dictionary, crop, cfg.fista_iters)
         grad = dict_gradient(dictionary, z, ImageGrid(crop), "patch")
-        adam, atoms = adam_update(adam, grad, dictionary.atoms,
-                                  cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+        adam, atoms = adam_update(adam, grad, dictionary.atoms, cfg.learning_rate)
 
         norms = np.linalg.norm(atoms.reshape(cfg.atom_count, -1), axis=1)
         for i in np.nonzero(norms < 1e-12)[0]:

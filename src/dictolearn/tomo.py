@@ -44,6 +44,8 @@ __all__ = [
 
 # Above this estimated nonzero count a projector keeps no weight matrix.
 _SPARSE_NNZ_BUDGET = 25_000_000
+# numpy's Generator.poisson refuses expected counts above this (about 9.2e18).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 # Estimated nonzeros per angle block, bounding the assembly temporaries. At
 # 2M the freed temporaries left glibc's mmap threshold under the 9.4 MB conv
 # FFT arrays, which then page-faulted afresh on every desk recon iteration.
@@ -67,8 +69,8 @@ class AcquisitionGeometry:
     def __post_init__(self):
         if self.num_angles < 1 or self.num_bins < 1:
             raise ContractError("angle and bin counts must be positive")
-        if not (self.detector_spacing > 0 and self.angular_range > 0):
-            raise ContractError("spacings and angular range must be positive")
+        if not (0 < self.detector_spacing < np.inf and 0 < self.angular_range < np.inf):
+            raise ContractError("detector spacing and angular range must be positive and finite")
 
     @property
     def angles(self) -> np.ndarray:
@@ -109,8 +111,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.incident_photons > 0:
-            raise ContractError("incident_photons must be positive")
+        if not 0 < self.incident_photons < np.inf:
+            raise ContractError("incident_photons must be positive and finite")
 
 
 def _ray_tables(geom: AcquisitionGeometry, grid_shape, pixel_spacing, angle_index):
@@ -158,10 +160,12 @@ class Projector:
     """Joseph projector A and its exact adjoint, applied in CSR blocks of whole angles."""
 
     def __init__(self, geom: AcquisitionGeometry, grid_shape, pixel_spacing: float = 1.0):
-        if pixel_spacing <= 0:
-            raise ContractError("pixel_spacing must be positive")
+        if not 0 < pixel_spacing < np.inf:
+            raise ContractError("pixel_spacing must be positive and finite")
         self.geom = geom
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
+        if min(self.grid_shape) < 1:
+            raise ContractError("grid sides must be at least 1")
         self.pixel_spacing = float(pixel_spacing)
         nnz_per_angle = 2 * geom.num_bins * max(self.grid_shape)
         step, na = max(1, _BLOCK_NNZ // nnz_per_angle), geom.num_angles
@@ -332,8 +336,8 @@ def fbp(sino: Sinogram, grid_shape, pixel_spacing: float = 1.0,
     # Redundant coverage beyond a half rotation is averaged out.
     if geom.angular_range > np.pi + 1e-9:
         dtheta *= np.pi / geom.angular_range
-    scale = dtheta * geom.detector_spacing / pixel_spacing ** 2
     proj = get_projector(geom, grid_shape, pixel_spacing)
+    scale = dtheta * geom.detector_spacing / pixel_spacing ** 2
     return ImageGrid(scale * proj.adjoint(filtered), pixel_spacing)
 
 
@@ -345,6 +349,8 @@ def simulate_counts(x: ImageGrid, geom: AcquisitionGeometry, noise: NoiseModel) 
     if np.min(ax) < -20.0:
         raise ContractError("strongly negative line integrals would overflow the photon model")
     lam = noise.incident_photons * np.exp(-ax)
+    if np.max(lam) > _POISSON_LAM_MAX:
+        raise ContractError("expected counts exceed what the Poisson sampler can draw")
     rng = np.random.default_rng(noise.seed)
     return rng.poisson(lam).astype(np.float64)
 

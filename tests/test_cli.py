@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dictolearn import cli, elbo
+from dictolearn import cli, elbo, learn
 from dictolearn.fileio import read_dictionary, read_grid, write_dictionary, write_grid
 from dictolearn.operators import Dictionary
 from dictolearn.sparse import DivergenceError
@@ -496,7 +497,7 @@ def _other_value(key, default):
 def test_flag_and_config_key_parse_alike(command, tmp_path):
     parser = cli.build_parser()
     table = parser.parse_args([command, *REQUIRED[command], "--out", "o"]).table
-    assert len(table) == {"simulate": 11, "train": 19, "reconstruct": 12, "sweep": 7}[command]
+    assert len(table) == {"simulate": 11, "train": 16, "reconstruct": 12, "sweep": 7}[command]
     cfg = tmp_path / "run.cfg"
     for key, default in table.items():
         text, value = _other_value(key, default)
@@ -576,9 +577,6 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("train", ["--adjust-constant", -1], cli.EXIT_CONTRACT),
     ("train", ["--initial-lambda", -5], cli.EXIT_CONTRACT),
     ("train", ["--learning-rate", -1e-3], cli.EXIT_CONTRACT),
-    ("train", ["--beta1", 1], cli.EXIT_CONTRACT),
-    ("train", ["--beta2", 1], cli.EXIT_CONTRACT),
-    ("train", ["--epsilon", 0], cli.EXIT_CONTRACT),
     ("verify-elbo", ["--count", 0], cli.EXIT_CONFIG),
     ("verify-elbo", ["--count", -1], cli.EXIT_CONFIG),
     ("sweep", ["--lambda1-grid", ""], cli.EXIT_CONFIG),
@@ -591,12 +589,22 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("simulate", ["--attenuation-scale", -10], cli.EXIT_CONTRACT),
     ("verify-elbo", ["--mc-samples", -5], cli.EXIT_CONTRACT),
     ("atoms", ["--coefficients", "nan.dlgrid"], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--grid-size", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--grid-size", -4], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--pixel-spacing", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--pixel-spacing", "inf"], cli.EXIT_CONTRACT),
+    ("simulate", ["--detector-spacing", "inf"], cli.EXIT_CONTRACT),
+    ("simulate", ["--incident-photons", "inf"], cli.EXIT_CONTRACT),
+    ("simulate", ["--incident-photons", 1e20], cli.EXIT_CONTRACT),
+    ("verify-elbo", ["--b-star", "inf"], cli.EXIT_CONTRACT),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
-        "initial-lambda", "learning-rate", "beta1", "beta2", "epsilon", "count-zero",
+        "initial-lambda", "learning-rate", "count-zero",
         "count-negative", "sweep-empty-grid", "sweep-empty-lambda2-grid", "sweep-truth-shape",
         "data-range", "shape-mismatch", "coefficient-rows", "crop-size", "attenuation-scale",
-        "mc-samples-negative", "coefficient-nan"])
+        "mc-samples-negative", "coefficient-nan", "grid-size-zero", "grid-size-negative",
+        "fbp-pixel-spacing-zero", "fbp-pixel-spacing-inf", "detector-spacing-inf", "incident-photons-inf",
+        "incident-photons-beyond-poisson", "b-star-inf"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)
@@ -610,6 +618,27 @@ def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, 
     out = tmp_path / "out"
     assert run(*_command_argv(command, tmp_path), *extra, "--out", out) == code
     assert not out.exists()
+
+
+def test_removed_train_knobs_are_refused(tmp_path, capsys):
+    # Adam's beta1, beta2 and epsilon are module constants: neither a flag
+    # nor a config key sets them.
+    argv = _command_argv("train", tmp_path)
+    out = tmp_path / "out"
+    assert exit_code(*argv, "--beta1", 0.8, "--out", out) == cli.EXIT_CONFIG
+    assert "--beta1" in capsys.readouterr().err
+    (tmp_path / "adam.cfg").write_text("epsilon=1e-8\n")
+    assert exit_code(*argv, "--config", tmp_path / "adam.cfg", "--out", out) == cli.EXIT_CONFIG
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_table_matches_train_config():
+    # Every training knob is both a train option and a TrainConfig field,
+    # so one cannot be dropped from one side and left on the other.
+    split = {*cli.GEOMETRY, "lowpass_cutoff", "remove_low_frequency"}
+    config_fields = {f.name for f in dataclasses.fields(learn.TrainConfig)}
+    assert set(cli.TRAIN) - split == config_fields - {"seed"}
 
 
 def test_manifest_records_every_option_in_effect(tmp_path):

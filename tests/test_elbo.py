@@ -14,7 +14,6 @@ from dictolearn.elbo import (
     dense_matrix,
     elbo_lower_bound,
     elbo_monte_carlo,
-    expected_l1_laplace,
     f_value,
     gaussian_logpdf,
     joint_log_density,
@@ -157,7 +156,8 @@ def test_posterior_mode_is_the_iterate_of_an_unstopped_run(instance):
 def test_mode_gap_zero_signal(instance):
     d, _ = instance
     assert mode_gap(np.zeros(16), np.zeros(6), d, PARAMS) == 0.0
-    assert elbo_lower_bound(np.zeros(16), d, PARAMS).certified
+    assert elbo_lower_bound(np.zeros(16), d, PARAMS,
+                            posterior_mode(np.zeros(16), d, PARAMS)).certified
 
 
 def c05_instances():
@@ -211,7 +211,7 @@ def test_lambda_mapping_preserves_argmin(instance):
 
 def test_elbo_tight_at_zero_mode(instance):
     d, _ = instance
-    report = elbo_lower_bound(np.zeros(16), d, PARAMS)
+    report = elbo_lower_bound(np.zeros(16), d, PARAMS, posterior_mode(np.zeros(16), d, PARAMS))
     assert report.support_size == 0
     assert report.gap_bound == 0.0
     assert report.elbo_exact == pytest.approx(report.lower_bound, abs=1e-12)
@@ -237,7 +237,7 @@ def test_gap_bound_holds_on_random_instances(rng):
                              b_star=float(rng.uniform(0.01, 0.2)),
                              n=k * k, m=m)
         x = rng.standard_normal(k * k) * 0.7
-        report = elbo_lower_bound(x, d, params)
+        report = elbo_lower_bound(x, d, params, posterior_mode(x, d, params))
         assert report.elbo_exact >= report.lower_bound - 1e-12
         assert report.gap <= report.gap_bound + 1e-10
 
@@ -275,15 +275,6 @@ def test_monte_carlo_is_mean_joint_density_over_laplace_samples(instance, monkey
     mean_logp = np.mean([joint_log_density(x, z, d, PARAMS) for z in samples])
     entropy = PARAMS.m * np.log(2.0 * PARAMS.b_star) + PARAMS.m
     assert abs(est - (mean_logp + entropy)) <= 1e-12 * max(1.0, abs(est))
-
-
-def test_folded_laplace_expectation_matches_sampling(rng):
-    center = rng.standard_normal(5) * 0.2
-    scale = 0.07
-    closed = expected_l1_laplace(center, scale)
-    samples = sample_laplace(center, scale, 400_000, seed=9)
-    l1 = np.abs(samples).sum(axis=1)
-    assert abs(l1.mean() - closed) <= 3 * l1.std(ddof=1) / np.sqrt(l1.size)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -330,7 +321,7 @@ def test_quadrature_streams_the_bench_grid():
     del rows
     tracemalloc.start()
     try:
-        got = log_evidence_quadrature(x, d, params, points=points, span=span)
+        got = log_evidence_quadrature(x, d, params, points=points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -345,12 +336,12 @@ def test_quadrature_budget_guard():
         log_evidence_quadrature(np.zeros(4), d, params, points=2001)
 
 
-@pytest.mark.parametrize("points, span", [(1, 30.0), (0, 30.0), (11, 0.0), (11, -5.0)])
-def test_quadrature_rejects_bad_grid(points, span):
+@pytest.mark.parametrize("points", [1, 0])
+def test_quadrature_rejects_bad_grid(points):
     d = Dictionary.random(1, 2, 3)
     params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=4, m=1)
     with pytest.raises(ContractError):
-        log_evidence_quadrature(np.zeros(4), d, params, points=points, span=span)
+        log_evidence_quadrature(np.zeros(4), d, params, points=points)
 
 
 def test_params_validation():
