@@ -26,8 +26,8 @@ def psnr(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
     """``10 log10(data_range^2 / MSE)``; +inf for identical images."""
     if a.shape != b.shape:
         raise ContractError("images must share a shape")
-    if not data_range > 0:
-        raise ContractError("data_range must be positive")
+    if not 0 < data_range < math.inf:
+        raise ContractError("data_range must be positive and finite")
     mse = float(np.mean((a.values - b.values) ** 2))
     if mse == 0.0:
         return math.inf
@@ -56,8 +56,8 @@ def ssim(a: ImageGrid, b: ImageGrid, data_range: float) -> float:
         raise ContractError("images must share a shape")
     if min(a.shape) < SSIM_WINDOW:
         raise ContractError("image smaller than the SSIM window")
-    if not data_range > 0:
-        raise ContractError("data_range must be positive")
+    if not 0 < data_range < math.inf:
+        raise ContractError("data_range must be positive and finite")
     av, bv = a.values, b.values
     planes = np.stack((av, bv, av * av, bv * bv, av * bv))
     cols = sliding_window_view(planes, SSIM_WINDOW, axis=1) @ _SSIM_G

@@ -7,14 +7,17 @@ The dictionary methods split the image into a fixed low-frequency part
 
 by alternating accelerated steps: a gradient step in x and a proximal
 gradient step in z, each with its own step size. The z step is
-:func:`dictolearn.sparse.z_step`, the one that FISTA sparse coding takes.
-The convolutional variant couples through
+:func:`dictolearn.sparse.z_step`, the one that FISTA sparse coding takes;
+it returns the new (z, S z) with the step's coupling and l1 terms. The
+convolutional variant couples through
 :class:`dictolearn.sparse.SynthesisCoupling`; the variant regularizing
 all overlapping patches through ``_OverlapPatchCoupling`` here, which has
-the same interface. Both keep z channel-first: (m, H, W) and
-(m, H+k-1, W+k-1). The z step bounds are closed forms that need no
-safety factor: the spectral bound :meth:`ConvSynthesis.norm_sq` and the
-exact sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The data term
+the same interface: ``z_zero``, ``lz``, ``l1_weight``, ``grad_z`` and
+``synth_value``, which gives S z and the coupling value from one
+synthesis. Both keep z channel-first: (m, H, W) and (m, H+k-1, W+k-1).
+The z step bounds are closed forms that need no safety factor: the
+spectral bound :meth:`ConvSynthesis.norm_sq` and the exact
+sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The data term
 L, its gradient and its step bound are :func:`dictolearn.tomo.data_loss`,
 ``data_gradient`` and ``data_lipschitz``, which the Huber baseline uses
 too; the bound rests on the certified ||A||^2 of :meth:`Projector.norm_sq`,
@@ -37,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis
-from .sparse import SynthesisCoupling, accelerated_descent, z_parts, z_step
+from .sparse import SynthesisCoupling, accelerated_descent, z_state, z_step
 from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_loss, fbp,
                    get_projector, likelihood_weights)
 
@@ -97,10 +100,14 @@ class _OverlapPatchCoupling:
     Patches are taken at every offset of the zero-padded image, so every
     pixel is covered by exactly k^2 patches; both penalty terms are
     normalized by that coverage. z is (m, H+k-1, W+k-1), one map per atom
-    over the patch positions. Tiles and patches are k^2 planes, row p
-    holding pixel p of every patch; the tiles are D^T z. ``synth`` returns
-    the coverage-averaged patch recomposition, making the x-gradient
-    2*lambda1*(x - synth(z)).
+    over the patch positions. Tiles and patches are (k, k, H+k-1, W+k-1):
+    plane (dy, dx) holds pixel (dy, dx) of every patch. The tiles are
+    D^T z; the patches are a zero-copy window view of the padded x. Like
+    every coupling it gives ``z_zero``, ``lz``, ``l1_weight``, ``grad_z``
+    and ``synth_value``, which returns the coverage-averaged patch
+    recomposition S z, making the x-gradient 2*lambda1*(x - S z), and the
+    coupling value. ``grad_z`` and ``synth_value`` each compute the tiles
+    once and do their elementwise work in place in them.
     """
 
     def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
@@ -117,28 +124,30 @@ class _OverlapPatchCoupling:
     def z_zero(self):
         return np.zeros((self.m,) + self.n_pos)
 
-    def _residual(self, x, z):
-        """Tiles D^T z minus the patches of x, as k^2 planes."""
-        patches = sliding_window_view(np.pad(x, self.k - 1), self.n_pos)
-        return self.flat.T @ z.reshape(self.m, -1) - patches.reshape(self.k ** 2, -1)
+    def _tiles(self, z):
+        """D^T z as (k, k, H+k-1, W+k-1) planes, in a fresh buffer."""
+        return (self.flat.T @ z.reshape(self.m, -1)).reshape((self.k, self.k) + self.n_pos)
 
-    def synth(self, z):
+    def _minus_patches(self, tiles, x):
+        """``tiles`` minus the patches of x, written over ``tiles``."""
+        return np.subtract(tiles, sliding_window_view(np.pad(x, self.k - 1), self.n_pos), out=tiles)
+
+    def synth_value(self, x, z):
         k = self.k
         (hp, wp), (h, w) = self.n_pos, self.grid_shape
-        tiles = self.flat.T @ z.reshape(self.m, -1)
+        tiles = self._tiles(z)
         canvas = np.zeros((hp + k - 1, wp + k - 1))
         for dy in range(k):
             for dx in range(k):
-                canvas[dy:dy + hp, dx:dx + wp] += tiles[dy * k + dx].reshape(hp, wp)
-        return canvas[k - 1:k - 1 + h, k - 1:k - 1 + w] / k ** 2
+                canvas[dy:dy + hp, dx:dx + wp] += tiles[dy, dx]
+        diff = self._minus_patches(tiles, x)
+        np.multiply(diff, diff, out=diff)
+        return (canvas[k - 1:k - 1 + h, k - 1:k - 1 + w] / k ** 2,
+                self.lambda1 / k ** 2 * float(np.sum(diff)))
 
     def grad_z(self, x, z, sz):
-        scale = 2.0 * self.lambda1 / self.k ** 2
-        return scale * (self.flat @ self._residual(x, z)).reshape(z.shape)
-
-    def value(self, x, z, sz):
-        diff = self._residual(x, z)
-        return self.lambda1 / self.k ** 2 * float(np.sum(diff * diff))
+        grad = self.flat @ self._minus_patches(self._tiles(z), x).reshape(self.k ** 2, -1)
+        return np.multiply(grad, 2.0 * self.lambda1 / self.k ** 2, out=grad).reshape(z.shape)
 
 
 def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing, coupling,
@@ -152,22 +161,22 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
 
     lx = data_lipschitz(proj, w) + 2.0 * cfg.lambda1
 
-    def objective_parts(x, ax, z, sz):
-        return (data_loss(ax, y_res, w),) + z_parts(coupling, x, z, sz)
-
     # The state carries A(x) and S(z) beside the iterates (x, z), so each
-    # step costs one forward and one adjoint of A and of S.
+    # step costs one forward and one adjoint of A and, in the coupling, one
+    # grad_z and one synth_value: for S the convolution, one adjoint and one
+    # apply; for the overlap coupling, two tile products and one D product.
     def step(point, scale):
         xp, axp, zp, szp = point
         gx = data_gradient(proj, axp, y_res, w) + 2.0 * cfg.lambda1 * (xp - szp)
         x_new = xp - gx / (scale * lx)
         ax_new = proj.forward(x_new)
-        new = (x_new, ax_new) + z_step(coupling, x_new, zp, szp, scale)
-        return new, objective_parts(*new)
+        z_new, parts = z_step(coupling, x_new, zp, szp, scale)
+        return (x_new, ax_new) + z_new, (data_loss(ax_new, y_res, w),) + parts
 
-    z = coupling.z_zero()
-    start = (x, proj.forward(x), z, coupling.synth(z))
-    (x, _, z, _), run = accelerated_descent(step, start, sum(objective_parts(*start)), cfg.iters)
+    ax = proj.forward(x)
+    zs, parts = z_state(coupling, x, coupling.z_zero())
+    f_start = sum((data_loss(ax, y_res, w),) + parts)
+    (x, _, z, _), run = accelerated_descent(step, (x, ax) + zs, f_start, cfg.iters)
     image = ImageGrid(x_lf + x, pixel_spacing)
     if return_coefficients:
         return image, run, z

@@ -7,10 +7,14 @@ convolutional mode; no safety factor and no power iteration. Its
 :func:`z_step` is the one proximal z-step of both dictionary
 reconstructions in ``recon`` and of FISTA sparse coding, which in patch
 mode runs it on a coupling in Gram form: one (m x m)(m x tiles) product
-per iteration and no apply or adjoint of S. Coefficients are plain
-channel-first arrays in both modes, so every coupling's z, and the z
-:func:`fista_sparse_code` returns, is an (m, rows, cols) array whose
-shape the synthesis operator fixes.
+per iteration and no apply or adjoint of S. Every coupling has ``z_zero``,
+``lz``, ``l1_weight``, ``grad_z`` and ``synth_value``, which returns S z
+and the coupling value from one synthesis; :func:`z_step` and
+:func:`z_state` return the state entries (z, S z) with the objective
+terms (coupling, l1), so no caller synthesizes the same z twice.
+Coefficients are plain channel-first arrays in both modes, so every
+coupling's z, and the z :func:`fista_sparse_code` returns, is an
+(m, rows, cols) array whose shape the synthesis operator fixes.
 
 :func:`accelerated_descent` runs this solver, both dictionary
 reconstructions and the Huber baseline under one restart policy: a rise
@@ -49,8 +53,8 @@ __all__ = [
     "Descent",
     "accelerated_descent",
     "SynthesisCoupling",
+    "z_state",
     "z_step",
-    "z_parts",
     "fista_sparse_code",
     "duality_gap",
 ]
@@ -195,9 +199,10 @@ class SynthesisCoupling:
     """``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``, S from :func:`make_synthesis`.
 
     A coupling gives :func:`z_step` everything it needs: the step bound
-    ``lz``, the l1 weight, the zero start, the synthesis, the z-gradient
-    and the value of the coupling term. z is channel-first, (m, rows, cols),
-    in this coupling as in every other.
+    ``lz``, the ``l1_weight``, the zero start ``z_zero()``, the z-gradient
+    ``grad_z(x, z, sz)`` and ``synth_value(x, z)``, which returns S z and
+    the value of the coupling term together. z is channel-first,
+    (m, rows, cols), in this coupling as in every other.
     """
 
     def __init__(self, dict_: Dictionary, mode: str, grid_shape, lambda1, lambda2):
@@ -209,15 +214,13 @@ class SynthesisCoupling:
     def z_zero(self):
         return self.op.zeros()
 
-    def synth(self, z):
-        return self.op.apply(z)
+    def synth_value(self, x, z):
+        sz = self.op.apply(z)
+        r = x - sz
+        return sz, self.lambda1 * float(np.sum(r * r))
 
     def grad_z(self, x, z, sz):
         return 2.0 * self.lambda1 * self.op.adjoint(sz - x)
-
-    def value(self, x, z, sz):
-        r = x - sz
-        return self.lambda1 * float(np.sum(r * r))
 
 
 class _GramCoupling:
@@ -239,14 +242,12 @@ class _GramCoupling:
     def z_zero(self):
         return np.zeros_like(self.c)
 
-    def synth(self, z):
-        return (self.gram @ z.reshape(len(z), -1)).reshape(z.shape)
+    def synth_value(self, x, z):
+        gz = (self.gram @ z.reshape(len(z), -1)).reshape(z.shape)
+        return gz, float(np.vdot(z, gz - 2.0 * self.c)) + self.x_sq
 
     def grad_z(self, x, z, gz):
         return 2.0 * (gz - self.c)
-
-    def value(self, x, z, gz):
-        return float(np.vdot(z, gz - 2.0 * self.c)) + self.x_sq
 
     def relative_gap(self, z, gz, parts) -> float:
         """Certified duality gap of ``||S z - x||^2 + lam ||z||_1`` over its value.
@@ -267,19 +268,20 @@ class _GramCoupling:
         return (primal - (2.0 * s * x_r - s * s * r_sq)) / primal
 
 
+def z_state(coupling, x, z):
+    """``((z, S z), (coupling, l1))``: z, its synthesis and its objective terms at image x."""
+    sz, value = coupling.synth_value(x, z)
+    return (z, sz), (value, coupling.l1_weight * float(np.sum(np.abs(z))))
+
+
 def z_step(coupling, x, z, sz, scale: float):
-    """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``: ``(z_new, S z_new)``.
+    """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``, as :func:`z_state`.
 
     z_new = soft_threshold(z - grad_z / lz, l1_weight / lz), lz = scale * coupling.lz.
     """
     lz = scale * coupling.lz
     z_new = soft_threshold(z - coupling.grad_z(x, z, sz) / lz, coupling.l1_weight / lz)
-    return z_new, coupling.synth(z_new)
-
-
-def z_parts(coupling, x, z, sz):
-    """The coupling and l1 terms of the objective at ``(x, z, sz)``."""
-    return coupling.value(x, z, sz), coupling.l1_weight * float(np.sum(np.abs(z)))
+    return z_state(coupling, x, z_new)
 
 
 def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
@@ -316,14 +318,12 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
         return done % GAP_CHECK_EVERY == 0 and coupling.relative_gap(*state, parts) <= gap_tol
 
     def step(point, scale):
-        new = z_step(coupling, x.values, *point, scale)
-        return new, z_parts(coupling, x.values, *new)
+        return z_step(coupling, x.values, *point, scale)
 
-    z = coupling.z_zero()
-    start = (z, coupling.synth(z))
+    start, parts = z_state(coupling, x.values, coupling.z_zero())
     try:
-        (z, _), run = accelerated_descent(step, start, sum(z_parts(coupling, x.values, *start)),
-                                          cfg.max_iters, None if gap_tol is None else stop)
+        (z, _), run = accelerated_descent(step, start, sum(parts), cfg.max_iters,
+                                          None if gap_tol is None else stop)
     except DivergenceError as err:
         err.dump.update(max_abs_z=err.dump["max_abs"][0], lipschitz=coupling.lz / 2.0)
         raise
@@ -342,5 +342,5 @@ def duality_gap(dict_: Dictionary, x: ImageGrid, z: np.ndarray, lam: float) -> f
     """
     coupling = _GramCoupling(dict_, x, lam)
     z = np.asarray(z, dtype=np.float64).reshape(coupling.c.shape)
-    state = (z, coupling.synth(z))
-    return coupling.relative_gap(*state, z_parts(coupling, x.values, *state))
+    state, parts = z_state(coupling, x.values, z)
+    return coupling.relative_gap(*state, parts)

@@ -45,7 +45,14 @@ def test_psnr_symmetry_and_validation(rng):
         psnr(a, b, 0.0)
 
 
-@pytest.mark.parametrize("data_range", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("data_range", [-1.0, float("nan"), float("inf")])
+def test_psnr_rejects_bad_data_range(data_range, rng):
+    # An infinite range would give a PSNR of +inf for any pair of images.
+    with pytest.raises(ContractError):
+        psnr(ImageGrid(rng.random((16, 16))), ImageGrid(rng.random((16, 16))), data_range)
+
+
+@pytest.mark.parametrize("data_range", [0.0, -1.0, float("nan"), float("inf")])
 def test_ssim_rejects_nonpositive_data_range(data_range):
     zero = ImageGrid(np.zeros((16, 16)))
     with pytest.raises(ContractError):

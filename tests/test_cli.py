@@ -583,6 +583,7 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("sweep", ["--lambda2-grid", ""], cli.EXIT_CONFIG),
     ("sweep", ["--truth", "bad.dlgrid"], cli.EXIT_CONTRACT),
     ("evaluate", ["--data-range", -1], cli.EXIT_CONTRACT),
+    ("evaluate", ["--data-range", "inf"], cli.EXIT_CONTRACT),
     ("evaluate", ["--recon", "bad.dlgrid"], cli.EXIT_CONTRACT),
     ("atoms", ["--coefficients", "bad.dlgrid"], cli.EXIT_CONFIG),
     ("train", ["--crop-size", 64], cli.EXIT_CONTRACT),
@@ -601,7 +602,7 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
         "initial-lambda", "learning-rate", "count-zero",
         "count-negative", "sweep-empty-grid", "sweep-empty-lambda2-grid", "sweep-truth-shape",
-        "data-range", "shape-mismatch", "coefficient-rows", "crop-size", "attenuation-scale",
+        "data-range", "data-range-inf", "shape-mismatch", "coefficient-rows", "crop-size", "attenuation-scale",
         "mc-samples-negative", "coefficient-nan", "grid-size-zero", "grid-size-negative",
         "fbp-pixel-spacing-zero", "fbp-pixel-spacing-inf", "detector-spacing-inf", "incident-photons-inf",
         "incident-photons-beyond-poisson", "b-star-inf"])

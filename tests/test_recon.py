@@ -286,17 +286,18 @@ def test_stationary_point_is_fixed():
 
 
 def test_overlap_coupling_derivatives(rng):
-    # The x step of _accelerated_recon takes 2 lambda1 (x - synth(z)) as the
-    # x-derivative of value; that holds only if the fold in synth is the exact
-    # adjoint of the patch extraction and every pixel lies in exactly k^2 patches.
+    # The x step of _accelerated_recon takes 2 lambda1 (x - S z) as the
+    # x-derivative of the coupling value; that holds only if the fold in
+    # synth_value is the exact adjoint of the patch extraction and every pixel
+    # lies in exactly k^2 patches.
     lambda1 = 1.7
     coupling = _OverlapPatchCoupling(Dictionary.random(4, 3, 37), (9, 7), lambda1, 0.3)
     x = rng.standard_normal((9, 7))
     z = rng.standard_normal(coupling.z_zero().shape)
-    sz = coupling.synth(z)
+    sz, _ = coupling.synth_value(x, z)
 
     def central(fun, point, step=1e-3):
-        # value is quadratic, so central differences carry only rounding error.
+        # The value is quadratic, so central differences carry only rounding error.
         fd = np.empty_like(point)
         for idx in np.ndindex(point.shape):
             up = point.copy()
@@ -307,11 +308,47 @@ def test_overlap_coupling_derivatives(rng):
         return fd
 
     grad_z = coupling.grad_z(x, z, sz)
-    fd_z = central(lambda v: coupling.value(x, v, coupling.synth(v)), z)
+    fd_z = central(lambda v: coupling.synth_value(x, v)[1], z)
     np.testing.assert_allclose(grad_z, fd_z, rtol=0, atol=1e-8 * np.max(np.abs(fd_z)))
-    fd_x = central(lambda v: coupling.value(v, z, sz), x)
+    fd_x = central(lambda v: coupling.synth_value(v, z)[1], x)
     grad_x = 2.0 * lambda1 * (x - sz)
     np.testing.assert_allclose(grad_x, fd_x, rtol=0, atol=1e-8 * np.max(np.abs(fd_x)))
+
+
+def test_overlap_coupling_leaves_its_inputs_alone(rng):
+    # grad_z and synth_value work in place in buffers they allocate; the
+    # window view of x's patches and the reshaped z must never be written.
+    k, m, shape = 3, 4, (9, 7)
+    d = Dictionary.random(m, k, 41)
+    coupling = _OverlapPatchCoupling(d, shape, 1.3, 0.2)
+    x = rng.standard_normal(shape)
+    z = rng.standard_normal(coupling.z_zero().shape)
+    sz = rng.standard_normal(shape)
+    inputs = [a.copy() for a in (x, z, sz)]
+
+    grad = coupling.grad_z(x, z, sz)
+    synth, value = coupling.synth_value(x, z)
+    for kept, now in zip(inputs, (x, z, sz)):
+        np.testing.assert_array_equal(now, kept)
+    np.testing.assert_array_equal(coupling.grad_z(x, z, sz), grad)
+    again_synth, again_value = coupling.synth_value(x, z)
+    np.testing.assert_array_equal(again_synth, synth)
+    assert again_value == value
+
+    # S z is the fold of the tiles D^T z, each patch added back at its
+    # offset, cropped to the image and divided by the k^2 coverage.
+    atoms = d.atoms
+    hp, wp = z.shape[1:]
+    canvas = np.zeros((hp + k - 1, wp + k - 1))
+    for i in range(hp):
+        for j in range(wp):
+            canvas[i:i + k, j:j + k] += np.tensordot(z[:, i, j], atoms, axes=1)
+    expected = canvas[k - 1:k - 1 + shape[0], k - 1:k - 1 + shape[1]] / k ** 2
+    np.testing.assert_allclose(synth, expected, rtol=0, atol=1e-12)
+    padded = np.pad(x, k - 1)
+    value_ref = sum(np.sum((np.tensordot(z[:, i, j], atoms, axes=1) - padded[i:i + k, j:j + k]) ** 2)
+                    for i in range(hp) for j in range(wp))
+    assert value == pytest.approx(1.3 / k ** 2 * value_ref, rel=1e-12)
 
 
 def test_image_gradient_adjoint_exact(rng):

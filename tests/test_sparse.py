@@ -14,7 +14,7 @@ from dictolearn.sparse import (
     fista_sparse_code,
     soft_threshold,
     sparse_objective,
-    z_parts,
+    z_state,
     z_step,
 )
 from dictolearn.elbo import dense_matrix
@@ -185,13 +185,10 @@ def test_patch_fista_gram_form_matches_residual_form():
     reference = SynthesisCoupling(d, "patch", x.shape, 1.0, lam)
 
     def step(point, scale):
-        new = z_step(reference, x.values, *point, scale)
-        return new, z_parts(reference, x.values, *new)
+        return z_step(reference, x.values, *point, scale)
 
-    zero = reference.z_zero()
-    start = (zero, reference.synth(zero))
-    (z_ref, _), _ = accelerated_descent(step, start, sum(z_parts(reference, x.values, *start)),
-                                        iters)
+    start, parts = z_state(reference, x.values, reference.z_zero())
+    (z_ref, _), _ = accelerated_descent(step, start, sum(parts), iters)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam, "patch"), rel=1e-12)
 
