@@ -4,7 +4,10 @@ Two synthesis operators map coefficients to images: a convolutional one
 (sum of per-atom "same"-size convolutions, zero padded) and a patch one
 (non-overlapping k-by-k tiling, equivalent to stride-k convolution).
 Both come with exact numerical adjoints and with the gradient of the
-synthesis residual with respect to the atoms. Coefficients are plain
+synthesis residual with respect to the atoms, and both work on tile
+planes, (k, k, ...) arrays whose plane (dy, dx) holds atom pixel
+(dy, dx) at every position: each apply, adjoint and atom gradient is one
+matrix product with the (m, k*k) flat atoms D. Coefficients are plain
 channel-first arrays, one map per atom, of the shape the operator fixes
 in ``coefficient_shape``: (m, H, W) in convolutional mode, (m, H/k, W/k)
 in patch mode. ``apply`` checks that shape.
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 __all__ = [
@@ -147,11 +151,34 @@ def _coefficients(z, shape) -> np.ndarray:
     return z
 
 
+def _residual(residual, shape) -> np.ndarray:
+    """A residual as a float64 array, checked against the operator's grid shape."""
+    residual = np.asarray(residual, dtype=np.float64)
+    if residual.shape != shape:
+        raise ContractError(f"residual shape {residual.shape} != grid {shape}")
+    return residual
+
+
+def _fold(tiles: np.ndarray) -> np.ndarray:
+    """Overlap-add of (k, k, P, Q) tile planes: plane (dy, dx) lands at offset (dy, dx).
+
+    Returns the (P+k-1, Q+k-1) canvas.
+    """
+    k, _, p, q = tiles.shape
+    canvas = np.zeros((p + k - 1, q + k - 1))
+    for dy in range(k):
+        for dx in range(k):
+            canvas[dy:dy + p, dx:dx + q] += tiles[dy, dx]
+    return canvas
+
+
 class ConvSynthesis:
     """Convolutional synthesis operator for one dictionary and grid shape.
 
-    Atom FFTs and their conjugates are precomputed once, so repeated
-    applications inside iterative solvers cost one batched FFT pass each.
+    With s = (k-1)//2 and W(r) the (k, k, H, W) window view of r padded
+    by s before and k-1-s after each axis, S z folds the tiles D^T z and
+    crops the canvas at s; S^T r is D W(r), and the atom gradient is
+    2 z W(r)^T, z as (m, H*W). Each is one matrix product.
     Kept free of per-call state: apply/adjoint are pure given the inputs.
     Coefficients are (m, H, W): one full-resolution map per atom.
     """
@@ -159,37 +186,24 @@ class ConvSynthesis:
     def __init__(self, dict_: Dictionary, grid_shape):
         self.dict = dict_
         self.grid_shape = (int(grid_shape[0]), int(grid_shape[1]))
-        h, w = self.grid_shape
-        k = dict_.atom_side
-        self.coefficient_shape = (dict_.atom_count, h, w)
-        self._anchor = (k - 1) // 2
-        self._fshape = (sfft.next_fast_len(h + k - 1), sfft.next_fast_len(w + k - 1))
-        self._atom_fft = sfft.rfft2(dict_.atoms, self._fshape)
-        self._atom_fft_conj = np.conj(self._atom_fft)
+        self.coefficient_shape = (dict_.atom_count,) + self.grid_shape
+        self._flat = dict_.flat()
+        self._anchor = (dict_.atom_side - 1) // 2
+
+    def _windows(self, residual: np.ndarray) -> np.ndarray:
+        """W(r) as (k*k, H*W) planes."""
+        k, s = self.dict.atom_side, self._anchor
+        padded = np.pad(_residual(residual, self.grid_shape), ((s, k - 1 - s), (s, k - 1 - s)))
+        return sliding_window_view(padded, self.grid_shape).reshape(k * k, -1)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = _coefficients(z, self.coefficient_shape)
-        h, w = self.grid_shape
-        s = self._anchor
-        zf = sfft.rfft2(z, self._fshape)
-        full = sfft.irfft2(np.einsum("cij,cij->ij", zf, self._atom_fft), self._fshape)
-        return full[s:s + h, s:s + w]
+        (h, w), k, s = self.grid_shape, self.dict.atom_side, self._anchor
+        tiles = (self._flat.T @ z.reshape(self.dict.atom_count, -1)).reshape(k, k, h, w)
+        return _fold(tiles)[s:s + h, s:s + w]
 
     def adjoint(self, residual: np.ndarray) -> np.ndarray:
-        residual = np.asarray(residual, dtype=np.float64)
-        if residual.shape != self.grid_shape:
-            raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
-        h, w = self.grid_shape
-        rf = self._residual_spectrum(residual)
-        return sfft.irfft2(rf[None] * self._atom_fft_conj, self._fshape)[:, :h, :w]
-
-    def _residual_spectrum(self, residual: np.ndarray) -> np.ndarray:
-        """rfft2 of the residual, zero-padded to the FFT grid at the atom anchor."""
-        h, w = self.grid_shape
-        s = self._anchor
-        padded = np.zeros(self._fshape)
-        padded[s:s + h, s:s + w] = residual
-        return sfft.rfft2(padded)
+        return (self._flat @ self._windows(residual)).reshape(self.coefficient_shape)
 
     def norm_sq(self) -> float:
         """Upper bound on the largest eigenvalue of S^T S: ``max_f sum_i |D_i(f)|^2``.
@@ -200,16 +214,15 @@ class ConvSynthesis:
         squared norm. The rfft half-plane suffices because real atoms
         have Hermitian-symmetric spectra.
         """
-        f = self._atom_fft
+        (h, w), k = self.grid_shape, self.dict.atom_side
+        fshape = (sfft.next_fast_len(h + k - 1), sfft.next_fast_len(w + k - 1))
+        f = sfft.rfft2(self.dict.atoms, fshape)
         return float(np.max(np.sum(f.real * f.real + f.imag * f.imag, axis=0)))
 
     def dict_gradient(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """Gradient of ||S(z) - x||^2 in atom coordinates, residual = S(z) - x."""
-        k = self.dict.atom_side
-        rf = self._residual_spectrum(residual)
-        zf = sfft.rfft2(z, self._fshape)
-        corr = sfft.irfft2(rf[None] * np.conj(zf), self._fshape)
-        return 2.0 * corr[:, :k, :k]
+        z = _coefficients(z, self.coefficient_shape).reshape(self.dict.atom_count, -1)
+        return 2.0 * (z @ self._windows(residual).T).reshape(self.dict.atoms.shape)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.coefficient_shape)
@@ -249,10 +262,8 @@ class PatchSynthesis:
         return self._unplane((z.reshape(self.dict.atom_count, -1).T @ self._flat).T)
 
     def adjoint(self, residual: np.ndarray) -> np.ndarray:
-        residual = np.asarray(residual, dtype=np.float64)
-        if residual.shape != self.grid_shape:
-            raise ContractError(f"residual shape {residual.shape} != grid {self.grid_shape}")
-        return (self._flat @ self._planes(residual)).reshape(self.coefficient_shape)
+        planes = self._planes(_residual(residual, self.grid_shape))
+        return (self._flat @ planes).reshape(self.coefficient_shape)
 
     def norm_sq(self) -> float:
         """Largest eigenvalue of S^T S: ``sigma_max(D)^2``.
@@ -264,9 +275,9 @@ class PatchSynthesis:
         return float(smax * smax)
 
     def dict_gradient(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        m, k = self.dict.atom_count, self.dict.atom_side
-        planes = self._planes(np.asarray(residual, dtype=np.float64))
-        return 2.0 * (z.reshape(m, -1) @ planes.T).reshape(m, k, k)
+        z = _coefficients(z, self.coefficient_shape).reshape(self.dict.atom_count, -1)
+        planes = self._planes(_residual(residual, self.grid_shape))
+        return 2.0 * (z @ planes.T).reshape(self.dict.atoms.shape)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.coefficient_shape)

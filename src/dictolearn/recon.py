@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis
+from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis, _fold
 from .sparse import SynthesisCoupling, accelerated_descent, z_state, z_step
 from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_loss, fbp,
                    get_projector, likelihood_weights)
@@ -133,13 +133,9 @@ class _OverlapPatchCoupling:
         return np.subtract(tiles, sliding_window_view(np.pad(x, self.k - 1), self.n_pos), out=tiles)
 
     def synth_value(self, x, z):
-        k = self.k
-        (hp, wp), (h, w) = self.n_pos, self.grid_shape
+        k, (h, w) = self.k, self.grid_shape
         tiles = self._tiles(z)
-        canvas = np.zeros((hp + k - 1, wp + k - 1))
-        for dy in range(k):
-            for dx in range(k):
-                canvas[dy:dy + hp, dx:dx + wp] += tiles[dy, dx]
+        canvas = _fold(tiles)
         diff = self._minus_patches(tiles, x)
         np.multiply(diff, diff, out=diff)
         return (canvas[k - 1:k - 1 + h, k - 1:k - 1 + w] / k ** 2,
@@ -163,8 +159,9 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
 
     # The state carries A(x) and S(z) beside the iterates (x, z), so each
     # step costs one forward and one adjoint of A and, in the coupling, one
-    # grad_z and one synth_value: for S the convolution, one adjoint and one
-    # apply; for the overlap coupling, two tile products and one D product.
+    # grad_z and one synth_value: products with the flat atoms D, two for S
+    # the convolution (adjoint and apply) and three for the overlap
+    # coupling, and in both one fold of the tiles.
     def step(point, scale):
         xp, axp, zp, szp = point
         gx = data_gradient(proj, axp, y_res, w) + 2.0 * cfg.lambda1 * (xp - szp)

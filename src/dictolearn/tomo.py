@@ -46,9 +46,9 @@ __all__ = [
 _SPARSE_NNZ_BUDGET = 25_000_000
 # numpy's Generator.poisson refuses expected counts above this (about 9.2e18).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
-# Estimated nonzeros per angle block, bounding the assembly temporaries. At
-# 2M the freed temporaries left glibc's mmap threshold under the 9.4 MB conv
-# FFT arrays, which then page-faulted afresh on every desk recon iteration.
+# Estimated nonzeros per angle block, bounding the assembly temporaries, whose
+# frees move glibc's mmap threshold. After them a desk recon-conv scan's 8.4 MB
+# tiles and windows take about 5 minor faults per iteration (2 at 2M blocks).
 _BLOCK_NNZ = 3_000_000
 
 

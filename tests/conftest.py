@@ -24,14 +24,12 @@ def dense_conv_reference(atoms: np.ndarray, maps: np.ndarray) -> np.ndarray:
                 coef = atoms[i, a, b]
                 if coef == 0.0:
                     continue
-                for r in range(h):
-                    rr = r + s - a
-                    if rr < 0 or rr >= h:
-                        continue
-                    for c in range(w):
-                        cc = c + s - b
-                        if 0 <= cc < w:
-                            out[r, c] += coef * maps[i, rr, cc]
+                # Rows r with 0 <= r + s - a < h, columns likewise.
+                r0, r1 = max(0, a - s), min(h, h + a - s)
+                c0, c1 = max(0, b - s), min(w, w + b - s)
+                if r0 < r1 and c0 < c1:
+                    out[r0:r1, c0:c1] += coef * maps[i, r0 + s - a:r1 + s - a,
+                                                     c0 + s - b:c1 + s - b]
     return out
 
 

@@ -64,12 +64,16 @@ def test_synthesize_conv_matches_assembled_matrix(rng):
     np.testing.assert_allclose(out.ravel(), matrix @ z.ravel(), rtol=1e-12, atol=1e-14)
 
 
-def test_synthesize_conv_matches_loop_reference(rng):
-    d = Dictionary.random(3, 4, 5)
-    z = rng.standard_normal((3, 9, 7))
-    out = ConvSynthesis(d, (9, 7)).apply(z)
+@pytest.mark.parametrize("m, k, shape", [(3, 4, (9, 7)), (3, 1, (9, 7)), (3, 5, (9, 7)),
+                                         (3, 5, (3, 3)), (64, 8, (128, 128))],
+                         ids=["k4", "k1", "k5", "k5-grid3", "desk"])
+def test_synthesize_conv_matches_loop_reference(m, k, shape, rng):
+    d = Dictionary.random(m, k, 5)
+    op = ConvSynthesis(d, shape)
+    z = rng.standard_normal((m,) + shape)
     ref = dense_conv_reference(d.atoms, z)
-    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(op.apply(z), ref, rtol=1e-12, atol=1e-13)
+    assert adjoint_rel_err(op.apply, op.adjoint, z, rng.standard_normal(shape)) < 1e-10
 
 
 def test_conv_norm_sq_impulse_atom():
@@ -284,6 +288,20 @@ def test_channel_mismatch_rejected(rng):
         ConvSynthesis(d, (6, 6)).apply(rng.standard_normal((3, 6, 5)))
     with pytest.raises(ContractError):
         PatchSynthesis(d, (6, 6)).apply(rng.standard_normal((2, 2, 2)))
+
+
+@pytest.mark.parametrize("cls, z_shape, r_shape", [
+    (ConvSynthesis, (4, 6, 6), (12, 12)), (ConvSynthesis, (4, 12, 12), ()),
+    (ConvSynthesis, (4, 12, 12), (1, 12)), (PatchSynthesis, (4, 2, 2), (12, 12)),
+    (PatchSynthesis, (4, 4, 4), (6, 24))])
+def test_mismatched_coefficients_or_residual_rejected(cls, z_shape, r_shape, rng):
+    op = cls(Dictionary.random(4, 3, 37), (12, 12))
+    z, r = rng.standard_normal(z_shape), rng.standard_normal(r_shape)
+    with pytest.raises(ContractError):
+        op.dict_gradient(z, r)
+    if r_shape != (12, 12):
+        with pytest.raises(ContractError):
+            op.adjoint(r)
 
 
 def test_non_divisible_patch_shape_rejected():
