@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -72,10 +73,13 @@ def _blob_hash(path: Path) -> str:
 # Parsed arguments that are not run parameters: the dispatch, and the
 # fields the manifest records on their own.
 _NOT_PARAMETERS = ("func", "table", "command", "config", "seed", "out")
+# The thread-count variables BLAS and OpenMP read when they load; the
+# manifest records each as the environment holds it, null when unset.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(args, opt: dict, inputs: dict, outputs):
-    """Record the run: input hashes, outputs, every option in effect and the command's flags."""
+    """Record the run: input hashes, outputs, options and flags in effect, thread variables."""
     out_dir = Path(args.out)
     flags = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     manifest = {
@@ -86,6 +90,7 @@ def _write_manifest(args, opt: dict, inputs: dict, outputs):
         "seed": args.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "parameters": {**flags, **opt},
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }

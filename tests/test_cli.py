@@ -43,7 +43,11 @@ def simulate(tmp_path, seed=7, out="sim"):
     return out_dir
 
 
-def test_simulate_outputs_and_manifest(tmp_path):
+def test_simulate_outputs_and_manifest(tmp_path, monkeypatch):
+    # The thread variables are recorded as the environment holds them.
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
     out = simulate(tmp_path)
     for name in ("phantom.dlgrid", "clean_sinogram.dlgrid", "counts.dlgrid",
                  "sinogram.dlgrid", "manifest.json"):
@@ -54,6 +58,8 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert len(manifest["outputs"]) == 4
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__, "scipy": scipy.__version__}
+    assert manifest["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None,
+                                   "MKL_NUM_THREADS": "1"}
     values, spacing = read_grid(out / "phantom.dlgrid")
     assert values.shape == (32, 32)
     # zero phantom -> zero clean sinogram holds by linearity; spot-check scale

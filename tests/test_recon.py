@@ -1,6 +1,10 @@
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from dictolearn import recon
 from dictolearn.analytics import shepp_logan
 from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid
 from dictolearn.recon import (
@@ -16,7 +20,8 @@ from dictolearn.recon import (
     reconstruct_dict_patch,
     reconstruct_huber,
 )
-from dictolearn.sparse import SparseCodeConfig, SynthesisCoupling, fista_sparse_code, soft_threshold
+from dictolearn.sparse import (SparseCodeConfig, SynthesisCoupling, fista_sparse_code,
+                               soft_threshold, z_step)
 from dictolearn.tomo import (
     AcquisitionGeometry,
     NoiseModel,
@@ -215,6 +220,105 @@ def test_unresolved_rises_are_counted(noisy_problem, dictionary):
     assert rises > 0
     assert trace.unresolved == rises
     assert trace.halvings == 1
+
+
+class _InlineExecutor:
+    """Test stand-in for ``ThreadPoolExecutor``: ``submit`` runs the call at once."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+
+@pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
+def test_overlapped_forward_is_bit_identical(solver, noisy_problem, dictionary, monkeypatch):
+    # The forward and data term on the worker compute what the calling
+    # thread computes when each call runs at once: nothing moves by a bit,
+    # neither the iterates nor any field of the record.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=25, lowpass_cutoff=0.10)
+    runs = []
+    for executor in (recon.ThreadPoolExecutor, _InlineExecutor):
+        monkeypatch.setattr(recon, "ThreadPoolExecutor", executor)
+        image, trace, z = solver(y, dictionary, cfg, (N, N), SPACING, return_coefficients=True)
+        runs.append((image.values, z, trace))
+    (x_pool, z_pool, pool), (x_inline, z_inline, inline) = runs
+    np.testing.assert_array_equal(x_pool, x_inline)
+    np.testing.assert_array_equal(z_pool, z_inline)
+    for field in ("objective", "parts", "restarts", "halvings", "unresolved"):
+        assert getattr(pool, field) == getattr(inline, field)
+    assert np.max(np.abs(z_pool)) > 0
+
+
+class _ThirdForward(RuntimeError):
+    pass
+
+
+def test_no_thread_outlives_a_solve(noisy_problem, dictionary, monkeypatch):
+    # The worker is joined when a solve returns and when it raises; an
+    # exception raised on the worker reaches the caller as it was raised.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=4, lowpass_cutoff=0.10)
+    get_projector(GEOM, (N, N), SPACING).norm_sq()  # cached: no forward of its own below
+    before = threading.active_count()
+    reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
+    assert threading.active_count() == before
+
+    caller = threading.current_thread()
+    raised = _ThirdForward("third forward")
+    forward = tomo.Projector.forward
+    on_caller = []
+
+    def failing(self, values):
+        on_caller.append(threading.current_thread() is caller)
+        if len(on_caller) == 3:
+            raise raised
+        return forward(self, values)
+
+    monkeypatch.setattr(tomo.Projector, "forward", failing)
+    with pytest.raises(_ThirdForward) as caught:
+        reconstruct_dict(y, dictionary, cfg, (N, N), SPACING)
+    assert caught.value is raised
+    # The low-pass residual and the start run on the caller, the first step's on the worker.
+    assert on_caller == [True, True, False]
+    assert threading.active_count() == before
+
+
+COUPLINGS = {
+    "convolutional": lambda d, shape: SynthesisCoupling(d, "convolutional", shape, 1.3, 0.2),
+    "patch": lambda d, shape: SynthesisCoupling(d, "patch", shape, 1.3, 0.2),
+    "overlap": lambda d, shape: _OverlapPatchCoupling(d, shape, 1.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", COUPLINGS)
+def test_z_step_leaves_its_inputs_alone(name, rng):
+    # The worker reads x while grad_z, synth_value and z_step run on the
+    # calling thread, so none of them may write x, z or sz.
+    shape = (12, 12)
+    coupling = COUPLINGS[name](Dictionary.random(4, 3, 43), shape)
+    x = rng.standard_normal(shape)
+    z = rng.standard_normal(coupling.z_zero().shape)
+    sz = rng.standard_normal(shape)
+    inputs = [a.copy() for a in (x, z, sz)]
+    coupling.grad_z(x, z, sz)
+    coupling.synth_value(x, z)
+    z_step(coupling, x, z, sz, 1.0)
+    for kept, now in zip(inputs, (x, z, sz)):
+        np.testing.assert_array_equal(now, kept)
 
 
 def test_clinical_scale_operating_points_are_defaults():
