@@ -372,15 +372,11 @@ def cmd_verify_elbo(args, opt):
 
     rows = []
     for i, x in enumerate(samples):
-        z_star = elbo.posterior_mode(x, dictionary, params)
-        report = elbo.elbo_lower_bound(x, dictionary, params, z_star)
-        if args.mc_samples > 0:
-            mc, se = elbo.elbo_monte_carlo(x, dictionary, params, z_star,
-                                           args.mc_samples,
-                                           _substream(args.seed, f"mc-{i}"))
-        else:
-            mc, se = math.nan, math.nan
-        rows.append((i, *report.as_dict().values(), mc, se, int(not report.holds)))
+        report, mc, se, _, found = elbo.evidence_chain(
+            x, dictionary, params, args.mc_samples, _substream(args.seed, f"mc-{i}"))
+        if found:
+            print(f"verify-elbo: sample {i}: {'; '.join(found)}")
+        rows.append((i, *report.as_dict().values(), mc, se, int(bool(found))))
     violations = sum(row[-1] for row in rows)
     print(f"verify-elbo: {len(samples)} samples, {violations} violations")
     header = ("sample", *elbo.ElboReport.COLUMNS, "mc_estimate", "mc_stderr", "violation")

@@ -13,9 +13,8 @@ the bound on their gap, (b_star / b) * ||z*||_0. All three assume that
 z* is the mode; :func:`posterior_mode` stops once the Lasso duality gap
 certifies that, and :class:`ElboReport` carries the certificate of the
 z* it was computed from (``mode_gap``, certified when at most
-``MODE_GAP_TOL``). Monte-Carlo estimation
-and tensor-grid quadrature of the log evidence provide independent
-cross-checks of the whole chain.
+``MODE_GAP_TOL``). :func:`evidence_chain` runs the chain for one signal,
+cross-checked by Monte Carlo and by tensor-grid quadrature of the evidence.
 
 The additive constant uses the full entropy of the m-dimensional Laplace
 posterior approximation, -E_q[log q] = m log(2 b_star) + m; the
@@ -44,6 +43,7 @@ __all__ = [
     "elbo_lower_bound",
     "elbo_monte_carlo",
     "log_evidence_quadrature",
+    "evidence_chain",
     "sample_laplace",
 ]
 
@@ -107,10 +107,11 @@ class ElboReport:
         return self.mode_gap <= MODE_GAP_TOL
 
     @property
-    def holds(self) -> bool:
-        """z* is certified and both bounds hold, up to 1e-10."""
-        return (self.certified and self.elbo_exact >= self.lower_bound - 1e-10
-                and self.gap <= self.gap_bound + 1e-10)
+    def violations(self) -> list[str]:
+        return [name for name, ok in {
+            "z* uncertified": self.certified,
+            "ELBO below its lower bound": self.elbo_exact >= self.lower_bound - 1e-10,
+            "gap above the gap bound": self.gap <= self.gap_bound + 1e-10}.items() if not ok]
 
     COLUMNS = ("f_at_mode", "penalty_quad", "penalty_lin", "constant_c", "expected_f",
                "elbo_exact", "lower_bound", "gap", "gap_bound", "support_size", "mode_gap")
@@ -330,3 +331,21 @@ def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
         logw = sum(log_stepw[i] for i in idx)
         block_lse.append(logsumexp(_log_joint_rows(x, z, d, params) + logw))
     return float(logsumexp(block_lse))
+
+
+def evidence_chain(x, dict_: Dictionary, params: ModelParams, mc_samples: int, seed: int):
+    """The chain for x: (report, MC estimate, its SE, log evidence, violations).
+
+    Monte Carlo runs if ``mc_samples > 0``, the quadrature if also m <= 2; else nan.
+    """
+    z_star = posterior_mode(x, dict_, params)
+    report = elbo_lower_bound(x, dict_, params, z_star)
+    violations, mc, se, evidence = report.violations, np.nan, np.nan, np.nan
+    if mc_samples > 0:
+        mc, se = elbo_monte_carlo(x, dict_, params, z_star, mc_samples, seed)
+        if not abs(mc - report.elbo_exact) <= 4 * se:
+            violations.append("Monte-Carlo ELBO more than 4 SE off")
+        evidence = log_evidence_quadrature(x, dict_, params) if params.m <= 2 else np.nan
+        if params.m <= 2 and not (np.isfinite(evidence) and evidence >= mc - 3 * se - 1e-3):
+            violations.append("log evidence below the Monte-Carlo ELBO")
+    return report, mc, se, evidence, violations

@@ -300,6 +300,46 @@ def test_verify_elbo_uncertified_mode_exits_5(tmp_path, monkeypatch):
     assert manifest["outputs"] == [str(out / "elbo_report.csv")]
 
 
+def _verify_elbo_rows(tmp_path, dictionary, capsys):
+    """Exit code, violation column and printed lines of a 2-sample Monte-Carlo run."""
+    dict_path = tmp_path / "d.dldict"
+    write_dictionary(dict_path, dictionary)
+    out = tmp_path / "ve"
+    code = run("verify-elbo", "--dictionary", dict_path, "--sigma", 0.3, "--b", 0.4,
+               "--b-star", 0.05, "--count", 2, "--mc-samples", 1000, "--out", out)
+    with open(out / "elbo_report.csv") as fh:
+        return code, [r["violation"] for r in csv.DictReader(fh)], capsys.readouterr().out
+
+
+def test_verify_elbo_monte_carlo_disagreement_exits_5(tmp_path, monkeypatch, capsys):
+    real = elbo.elbo_monte_carlo
+
+    def off(*args):
+        mc, se = real(*args)
+        return mc + 10 * se, se
+
+    monkeypatch.setattr(elbo, "elbo_monte_carlo", off)
+    code, violations, printed = _verify_elbo_rows(tmp_path, Dictionary.random(6, 3, 9), capsys)
+    assert code == cli.EXIT_VERIFY and violations == ["1", "1"]
+    assert "sample 1: Monte-Carlo ELBO more than 4 SE off" in printed
+
+
+def test_verify_elbo_quadrature_failure_exits_5(tmp_path, monkeypatch, capsys):
+    # m <= 2, so the chain runs the quadrature; an evidence below the
+    # Monte-Carlo ELBO fails it.
+    real, estimates = elbo.elbo_monte_carlo, []
+
+    def record(*args):
+        estimates.append(real(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(elbo, "elbo_monte_carlo", record)
+    monkeypatch.setattr(elbo, "log_evidence_quadrature", lambda *args: estimates[-1][0] - 1.0)
+    code, violations, printed = _verify_elbo_rows(tmp_path, Dictionary.random(2, 2, 9), capsys)
+    assert code == cli.EXIT_VERIFY and violations == ["1", "1"]
+    assert "sample 0: log evidence below the Monte-Carlo ELBO" in printed
+
+
 def test_verify_elbo_certifies_c07_sized_modes(tmp_path):
     # m = n = 64: one of these 40 samples needs more than 2000 iterations to certify.
     dict_path = Path(__file__).parents[1] / "perfbench" / "data" / "dict_c07.dldict"

@@ -14,6 +14,7 @@ from dictolearn.elbo import (
     dense_matrix,
     elbo_lower_bound,
     elbo_monte_carlo,
+    evidence_chain,
     f_value,
     gaussian_logpdf,
     joint_log_density,
@@ -177,17 +178,52 @@ def test_c05_modes_certify():
         assert report.certified, report.mode_gap
 
 
-def test_holds_is_false_for_each_failure():
+def test_violations_name_each_failure():
     for d, params, x in c05_instances():
         report = elbo_lower_bound(x, d, params, posterior_mode(x, d, params))
-        assert report.holds
-        # Each failure alone: ELBO below its bound, gap above its bound, z* uncertified.
+        assert report.violations == []
+        # Each failure alone yields exactly its own named violation.
         below = replace(report, lower_bound=report.elbo_exact + 1e-9)
         wide = replace(report, gap_bound=report.gap - 1e-9)
         uncertified = replace(report, mode_gap=2 * elbo.MODE_GAP_TOL)
-        assert not below.holds and below.gap <= below.gap_bound and below.certified
-        assert not wide.holds and wide.elbo_exact >= wide.lower_bound and wide.certified
-        assert not uncertified.holds and uncertified.gap <= uncertified.gap_bound
+        assert below.violations == ["ELBO below its lower bound"]
+        assert wide.violations == ["gap above the gap bound"]
+        assert uncertified.violations == ["z* uncertified"]
+
+
+def test_evidence_chain_equals_the_separate_calls():
+    d = Dictionary.random(2, 2, 5)
+    params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=4, m=2)
+    x = np.random.default_rng(3).standard_normal(4) * 0.6
+    z_star = posterior_mode(x, d, params)
+    report, mc, se, evidence, violations = evidence_chain(x, d, params, 2000, 9)
+    assert report == elbo_lower_bound(x, d, params, z_star)
+    assert (mc, se) == elbo_monte_carlo(x, d, params, z_star, 2000, seed=9)
+    assert evidence == log_evidence_quadrature(x, d, params)
+    assert violations == []
+    # Without Monte Carlo the chain stops at the report.
+    report0, *rest = evidence_chain(x, d, params, 0, 9)
+    assert report0 == report and np.isnan(rest[:3]).all() and rest[3] == []
+
+
+def test_evidence_chain_names_the_cross_check_failures(monkeypatch):
+    d = Dictionary.random(1, 2, 4)
+    params = ModelParams(sigma=0.3, b=0.4, b_star=0.05, n=4, m=1)
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    report, mc, se, evidence, _ = evidence_chain(x, d, params, 1000, 1)
+    assert evidence > mc
+    # Each failure alone yields exactly its own named violation; the
+    # thresholds are 4 SE and, for the evidence, MC - 3 SE - 1e-3.
+    for z, named in ((-3.9, []), (-4.1, ["Monte-Carlo ELBO more than 4 SE off"])):
+        monkeypatch.setattr(elbo, "elbo_monte_carlo",
+                            lambda *a, z=z: (report.elbo_exact + z * se, se))
+        assert evidence_chain(x, d, params, 1000, 1)[-1] == named
+    monkeypatch.setattr(elbo, "elbo_monte_carlo", lambda *a: (mc, se))
+    floor, below = mc - 3 * se - 1e-3, ["log evidence below the Monte-Carlo ELBO"]
+    for ev, named in ((floor + 1e-6, []), (floor - 1e-6, below), (np.nan, below),
+                      (np.inf, below)):
+        monkeypatch.setattr(elbo, "log_evidence_quadrature", lambda *a, ev=ev: ev)
+        assert evidence_chain(x, d, params, 1000, 1)[-1] == named
 
 
 def test_report_values_are_plain_numbers(instance):
@@ -363,3 +399,15 @@ def test_verify_bounds_script_reports_no_violations():
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     assert "\n0 violations" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [["--instances", "0"], ["--instances", "-3"],
+                                   ["--mc-samples", "10"]])
+def test_verify_bounds_script_refuses_bad_counts(flags):
+    # argparse refuses them before any work: no table, exit 2.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "scripts/verify_bounds.py", *flags],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"{flags[0]} must be at least" in proc.stderr
