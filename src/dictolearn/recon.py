@@ -31,13 +31,14 @@ the momentum from the last iterate; a rise from a plain step doubles the
 step bounds once per solve; a rise after that is kept and counted in
 ``Descent.unresolved``. With valid bounds traces are non-increasing.
 
-Each dictionary-method step runs the projector forward A x_new and its
-data term on one worker thread while the calling thread runs the z step.
-The two only read x_new and write arrays of their own, and scipy's
-sparse products and BLAS release the interpreter lock, so they overlap
-and the results are bit for bit those of running them in turn. The
-worker lives for one solve, and an exception it raises reaches the caller
-unchanged. The Huber baseline runs its steps on the calling thread.
+Each dictionary-method step runs the projector forward A x_new, its data
+term and the adjoint that gives the data gradient g(x_new) on one worker
+thread while the calling thread runs the z step. The state carries g,
+affine in x, so its extrapolation stays exact and the x step takes no
+product of A. The threads only read x_new and write arrays of their own,
+and scipy's sparse products and BLAS release the interpreter lock, so they
+overlap and give bit for bit the results of running in turn. The worker
+lives for one solve and re-raises its exceptions unchanged on the caller.
 """
 
 from __future__ import annotations
@@ -168,29 +169,27 @@ def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing,
 
     def forward_loss(x_new):
         ax_new = proj.forward(x_new)
-        return ax_new, data_loss(ax_new, y_res, w)
+        return data_gradient(proj, ax_new, y_res, w), data_loss(ax_new, y_res, w)
 
-    # The state carries A(x) and S(z) beside the iterates (x, z), so each
-    # step costs one forward and one adjoint of A and, in the coupling, one
-    # grad_z and one synth_value: products with the flat atoms D, two for S
-    # the convolution (adjoint and apply) and three for the overlap
-    # coupling, and in both one fold of the tiles. The forward and its data
-    # term run on the worker beside the z step: both only read x_new, and
-    # the sparse products and BLAS release the interpreter lock.
+    # The state carries the data gradient g(x) and S(z) beside (x, z); g is
+    # affine in x, so its extrapolation is g at the extrapolated point. Each
+    # step costs, on the worker beside the z step, one forward and one
+    # adjoint of A at x_new, and on the caller one grad_z and one
+    # synth_value: products with the flat atoms D, two for S the convolution
+    # (adjoint and apply) and three for the overlap coupling, and in both
+    # one fold of the tiles.
     def step(point, scale):
-        xp, axp, zp, szp = point
-        gx = data_gradient(proj, axp, y_res, w) + 2.0 * cfg.lambda1 * (xp - szp)
-        x_new = xp - gx / (scale * lx)
+        xp, gp, zp, szp = point
+        x_new = xp - (gp + 2.0 * cfg.lambda1 * (xp - szp)) / (scale * lx)
         forward = worker.submit(forward_loss, x_new)
         z_new, parts = z_step(coupling, x_new, zp, szp, scale)
-        ax_new, data = forward.result()
-        return (x_new, ax_new) + z_new, (data,) + parts
+        g_new, data = forward.result()
+        return (x_new, g_new) + z_new, (data,) + parts
 
-    ax, data = forward_loss(x)
+    g, data = forward_loss(x)
     zs, parts = z_state(coupling, x, coupling.z_zero())
-    f_start = sum((data,) + parts)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        (x, _, z, _), run = accelerated_descent(step, (x, ax) + zs, f_start, cfg.iters)
+        (x, _, z, _), run = accelerated_descent(step, (x, g) + zs, sum((data,) + parts), cfg.iters)
     image = ImageGrid(x_lf + x, pixel_spacing)
     if return_coefficients:
         return image, run, z

@@ -134,9 +134,10 @@ def accelerated_descent(step, start, f_start: float, iters: int,
                         stop=None) -> tuple[tuple, Descent]:
     """Accelerated proximal gradient with function-value restart.
 
-    ``start`` is a tuple of arrays: the iterate plus any linear images of
-    it the caller keeps (such as ``A x``); every array is extrapolated
-    alike, which keeps the images exact. ``step(point, scale)`` takes one
+    ``start`` is a tuple of arrays: the iterate plus any affine images of
+    it the caller keeps (such as a data gradient); every array is
+    extrapolated alike, by weights that sum to 1, which keeps affine images
+    exact up to rounding. ``step(point, scale)`` takes one
     proximal-gradient step from ``point`` with every Lipschitz bound
     multiplied by ``scale`` and returns ``(new_state, objective_parts)``;
     the objective is their sum, and ``f_start`` its value at ``start``.

@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from dictolearn import recon
+from dictolearn import recon, sparse
 from dictolearn.analytics import shepp_logan
 from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid
 from dictolearn.recon import (
@@ -245,8 +245,8 @@ class _InlineExecutor:
 
 @pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
 def test_overlapped_forward_is_bit_identical(solver, noisy_problem, dictionary, monkeypatch):
-    # The forward and data term on the worker compute what the calling
-    # thread computes when each call runs at once: nothing moves by a bit,
+    # The forward, data term and adjoint on the worker compute what the
+    # calling thread computes when each call runs at once: nothing moves by a bit,
     # neither the iterates nor any field of the record.
     _, y = noisy_problem
     cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=25, lowpass_cutoff=0.10)
@@ -297,10 +297,77 @@ def test_no_thread_outlives_a_solve(noisy_problem, dictionary, monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
+def test_a_step_runs_its_projector_products_on_the_worker(solver, noisy_problem, dictionary,
+                                                          monkeypatch):
+    # Before the first step the caller makes two forwards (the low-pass
+    # residual and the start) and three adjoints (the two FBPs and the
+    # start's data gradient). Each step then makes one forward and one
+    # adjoint, both on the worker, so the x step takes no product of A and
+    # a solve without restarts makes iters + 2 forwards and iters + 3 adjoints.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=5, lowpass_cutoff=0.10)
+    get_projector(GEOM, (N, N), SPACING).norm_sq()  # cached: no products of its own below
+    caller = threading.current_thread()
+    on_caller = {"forward": [], "adjoint": []}
+
+    def recorded(name):
+        method = getattr(tomo.Projector, name)
+
+        def wrapper(self, values):
+            on_caller[name].append(threading.current_thread() is caller)
+            return method(self, values)
+        return wrapper
+
+    for name in on_caller:
+        monkeypatch.setattr(tomo.Projector, name, recorded(name))
+    _, trace = solver(y, dictionary, cfg, (N, N), SPACING)
+    assert trace.restarts == trace.halvings == 0
+    assert on_caller["forward"] == [True] * 2 + [False] * cfg.iters
+    assert on_caller["adjoint"] == [True] * 3 + [False] * cfg.iters
+
+
+@pytest.mark.parametrize("name", ["convolutional", "overlap"])
+def test_carried_data_gradient_stays_exact(name, noisy_problem, dictionary, monkeypatch):
+    # A z step bound five times too small forces restarts and the halving.
+    # Through all of them the data gradient at every point a step starts
+    # from, extrapolated or not, and in the final state is the gradient at
+    # that x up to rounding: g is affine in x, and the extrapolation
+    # weights sum to 1.
+    _, y = noisy_problem
+    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=40, lowpass_cutoff=0.10)
+    coupling = COUPLINGS[name](dictionary, (N, N), cfg.lambda1, cfg.lambda2)
+    coupling.lz *= 0.2
+    points = []
+
+    def recording(step, *args):
+        def recorded(point, scale):
+            points.append(point[:2])
+            return step(point, scale)
+        state, run = sparse.accelerated_descent(recorded, *args)
+        points.append(state[:2])
+        return state, run
+
+    monkeypatch.setattr(recon, "accelerated_descent", recording)
+    _, trace = _accelerated_recon(y, cfg, (N, N), SPACING, coupling)
+    assert trace.halvings == 1 and trace.restarts > 0
+    proj = get_projector(GEOM, (N, N), SPACING)
+    w = likelihood_weights(y)
+    x_lf = tomo.fbp(y, (N, N), SPACING, window="hann", cutoff=cfg.lowpass_cutoff).values
+    y_res = y.values - proj.forward(x_lf)
+    errors = []
+    for x, g in points:
+        fresh = tomo.data_gradient(proj, proj.forward(x), y_res, w)
+        errors.append(np.linalg.norm(g - fresh) / np.linalg.norm(fresh))
+    assert len(points) == cfg.iters + trace.restarts + trace.halvings + 1
+    assert max(errors) <= 1e-9
+
+
 COUPLINGS = {
-    "convolutional": lambda d, shape: SynthesisCoupling(d, "convolutional", shape, 1.3, 0.2),
-    "patch": lambda d, shape: SynthesisCoupling(d, "patch", shape, 1.3, 0.2),
-    "overlap": lambda d, shape: _OverlapPatchCoupling(d, shape, 1.3, 0.2),
+    "convolutional": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(d, "convolutional",
+                                                                        shape, l1, l2),
+    "patch": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(d, "patch", shape, l1, l2),
+    "overlap": lambda d, shape, l1=1.3, l2=0.2: _OverlapPatchCoupling(d, shape, l1, l2),
 }
 
 
