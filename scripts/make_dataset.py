@@ -4,16 +4,16 @@
 import argparse
 from pathlib import Path
 
-from dictolearn import random_ellipse_phantom, write_grid
+from dictolearn import desk, random_ellipse_phantom, write_grid
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("out", type=Path)
     ap.add_argument("--count", type=int, default=20)
-    ap.add_argument("--size", type=int, default=128)
-    ap.add_argument("--pixel-spacing", type=float, default=2.8)
-    ap.add_argument("--attenuation-scale", type=float, default=0.05)
+    ap.add_argument("--size", type=int, default=desk.N)
+    ap.add_argument("--pixel-spacing", type=float, default=desk.SPACING)
+    ap.add_argument("--attenuation-scale", type=float, default=desk.ATTENUATION_SCALE)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -5,6 +5,11 @@ built once in session fixtures and shared across criteria. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import dataclasses
+import hashlib
+import json
+import math
+import platform
 import subprocess
 import sys
 import time
@@ -13,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from dictolearn.analytics import psnr, random_ellipse_phantom, shepp_logan
+from dictolearn import desk
+from dictolearn.analytics import psnr, random_ellipse_phantom
 from dictolearn.elbo import (
     ModelParams,
     dense_matrix,
@@ -33,23 +40,20 @@ from dictolearn.operators import (
 )
 from dictolearn.recon import (
     HuberConfig,
-    ReconConfig,
     huber_loss_and_gradient,
     reconstruct_dict,
     reconstruct_dict_patch,
     reconstruct_huber,
 )
+from dictolearn.fileio import read_dictionary, read_grid, write_csv, write_dictionary, write_grid
 from dictolearn.sparse import SparseCodeConfig, fista_sparse_code
 from dictolearn.tomo import (
     AcquisitionGeometry,
-    NoiseModel,
     Sinogram,
     data_loss_and_gradient,
     fbp,
     forward_project,
     get_projector,
-    linearize,
-    simulate_counts,
 )
 from conftest import adjoint_rel_err, cd_sparse_solve
 
@@ -307,28 +311,6 @@ def test_c10_adaptive_lambda(planted_run):
 
 # ------------------------------------------------------- criteria 7, 8, and 9
 
-DESK_N = 128
-DESK_SPACING = 2.8
-DESK_SCALE = 0.05
-DESK_GEOM = AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=DESK_SPACING)
-CONV_CFG = ReconConfig(lambda1=1000.0, lambda2=0.1, iters=300, lowpass_cutoff=0.10, seed=0)
-PATCH_CFG = ReconConfig(lambda1=400.0, lambda2=0.075, iters=300, lowpass_cutoff=0.10, seed=0)
-HUBER_CFG = HuberConfig(lam=0.2, gamma=2e-4, iters=70)
-
-
-def desk_phantom(seed=None):
-    if seed is None:
-        values = shepp_logan(DESK_N, "modified").values
-    else:
-        values = random_ellipse_phantom(DESK_N, seed=seed).values
-    return ImageGrid(values * DESK_SCALE, DESK_SPACING)
-
-
-def desk_sinogram(phantom, noise_seed):
-    counts = simulate_counts(phantom, DESK_GEOM, NoiseModel(50_000.0, seed=noise_seed))
-    return linearize(counts, 50_000.0, DESK_GEOM)
-
-
 @dataclass
 class DeskRun:
     dictionary: Dictionary
@@ -342,20 +324,16 @@ class DeskRun:
 @pytest.fixture(scope="module")
 def desk_run():
     start = time.time()
-    train_set = [ImageGrid(random_ellipse_phantom(DESK_N, seed=500 + i).values * DESK_SCALE,
-                           DESK_SPACING) for i in range(20)]
-    cfg = TrainConfig(atom_count=64, atom_side=8, target_sparsity=64.0,
-                      crop_size=64, steps=5000, learning_rate=1e-3,
-                      validation_interval=50, fista_iters=40, seed=2)
-    dictionary, _ = train_dictionary(train_set, cfg, geom=DESK_GEOM, cutoff_fraction=0.10)
+    train_set = [desk.phantom(seed) for seed in desk.TRAIN_PHANTOM_SEEDS]
+    dictionary, _ = train_dictionary(train_set, desk.TRAIN, geom=desk.GEOM)
 
-    phantom = desk_phantom()
-    y = desk_sinogram(phantom, noise_seed=11)
+    phantom = desk.phantom()
+    y = desk.scan(phantom, desk.C07_NOISE_SEED)
     data_range = float(phantom.values.max() - phantom.values.min())
 
-    img_fbp = fbp(y, (DESK_N, DESK_N), DESK_SPACING, window="hann", cutoff=0.75)
-    img_hub = reconstruct_huber(y, HUBER_CFG, (DESK_N, DESK_N), DESK_SPACING)
-    img_dict, trace = reconstruct_dict(y, dictionary, CONV_CFG, (DESK_N, DESK_N), DESK_SPACING)
+    img_fbp = fbp(y, desk.GRID, desk.SPACING, window="hann", cutoff=0.75)
+    img_hub = reconstruct_huber(y, desk.HUBER, desk.GRID, desk.SPACING)
+    img_dict, trace = reconstruct_dict(y, dictionary, desk.CONV, desk.GRID, desk.SPACING)
 
     return DeskRun(
         dictionary=dictionary,
@@ -389,14 +367,13 @@ class OrderingRun:
 def ordering_run(desk_run):
     start = time.time()
     conv_psnrs, patch_psnrs, traces = [], [], []
-    for i in range(5):
-        phantom = desk_phantom(seed=900 + i)
-        y = desk_sinogram(phantom, noise_seed=300 + i)
+    for phantom_seed, noise_seed in desk.C08_SCANS:
+        phantom = desk.phantom(phantom_seed)
+        y = desk.scan(phantom, noise_seed)
         data_range = float(phantom.values.max() - phantom.values.min())
-        img_c, tr_c = reconstruct_dict(y, desk_run.dictionary, CONV_CFG,
-                                       (DESK_N, DESK_N), DESK_SPACING)
-        img_p, tr_p = reconstruct_dict_patch(y, desk_run.dictionary, PATCH_CFG,
-                                             (DESK_N, DESK_N), DESK_SPACING)
+        img_c, tr_c = reconstruct_dict(y, desk_run.dictionary, desk.CONV, desk.GRID, desk.SPACING)
+        img_p, tr_p = reconstruct_dict_patch(y, desk_run.dictionary, desk.PATCH,
+                                             desk.GRID, desk.SPACING)
         conv_psnrs.append(psnr(img_c, phantom, data_range))
         patch_psnrs.append(psnr(img_p, phantom, data_range))
         traces.extend([tr_c, tr_p])
@@ -434,7 +411,12 @@ def run_cli(*argv):
     return proc
 
 
-def pipeline(base: Path, data_dir: Path, seed: int):
+def pipeline(base: Path, seed: int):
+    data_dir = base / "data"
+    data_dir.mkdir(parents=True)
+    for i in range(5):
+        ph = random_ellipse_phantom(48, seed=700 + i)
+        write_grid(data_dir / f"ph{i}.dlgrid", ph.values * 0.05, 2.0)
     sim = base / "sim"
     tr = base / "train"
     rec = base / "rec"
@@ -463,18 +445,104 @@ def pipeline(base: Path, data_dir: Path, seed: int):
 
 def test_c11_pipeline_determinism(tmp_path):
     start = time.time()
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    from dictolearn.fileio import write_grid
-    for i in range(5):
-        ph = random_ellipse_phantom(48, seed=700 + i)
-        write_grid(data_dir / f"ph{i}.dlgrid", ph.values * 0.05, 2.0)
-
-    files_a = pipeline(tmp_path / "a", data_dir, seed=42)
-    files_b = pipeline(tmp_path / "b", data_dir, seed=42)
+    files_a = pipeline(tmp_path / "a", seed=42)
+    files_b = pipeline(tmp_path / "b", seed=42)
     mismatched = [fa.name for fa, fb in zip(files_a, files_b)
                   if fa.read_bytes() != fb.read_bytes()]
     elapsed = time.time() - start
     report(11, "pipeline determinism", not mismatched,
            f"{len(files_a)} outputs byte-identical across reruns "
            f"({elapsed:.0f}s){'; mismatch: ' + ','.join(mismatched) if mismatched else ''}")
+
+
+# ------------------------------------------------------------ output digests
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
+PINNED_DICTIONARY = DIGESTS.parents[1] / "perfbench" / "data" / "dict_c07.dldict"
+SUMMARY_RTOL = 1e-9
+
+
+def cpu_model() -> str:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return platform.processor()
+    return next((line.split(":", 1)[1].strip() for line in lines
+                 if line.startswith("model name")), platform.processor())
+
+
+def fingerprint() -> dict:
+    """What the bits depend on: numpy, scipy, the BLAS build and the CPU.
+
+    The OpenBLAS wheels pick their kernels by CPU at run time, so the CPU
+    model is part of the build. The BLAS entry leaves out its directories.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "cpu": cpu_model()}
+
+
+def read_numbers(path: Path) -> np.ndarray:
+    if path.suffix == ".dlgrid":
+        return read_grid(path)[0]
+    if path.suffix == ".dldict":
+        return read_dictionary(path).atoms
+    if path.suffix == ".npy":
+        return np.load(path)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def output_files(dictionary: Dictionary, base: Path) -> dict:
+    """The outputs the digest file covers, by key, each written to a file.
+
+    c11's nine pipeline outputs at seed 42; the c07 dictionary as DLDICT1
+    bytes; and 30-iteration conv and patch solves of c07's scan with the
+    benchmark's pinned dictionary, each image as .npy and its trace.csv.
+    """
+    files = {f"c11 {path.parent.name}/{path.name}": path
+             for path in pipeline(base / "c11", seed=42)}
+    files["c07 dictionary.dldict"] = base / "dict_c07.dldict"
+    write_dictionary(files["c07 dictionary.dldict"], dictionary)
+    pinned = read_dictionary(PINNED_DICTIONARY)
+    y = desk.scan(desk.phantom(), desk.C07_NOISE_SEED)
+    for name, solver, cfg in (("conv30", reconstruct_dict, desk.CONV),
+                              ("patch30", reconstruct_dict_patch, desk.PATCH)):
+        image, trace = solver(y, pinned, dataclasses.replace(cfg, iters=30),
+                              desk.GRID, desk.SPACING)
+        image_path, trace_path = base / f"{name}.npy", base / f"{name}.csv"
+        np.save(image_path, image.values)
+        write_csv(trace_path, ("iter", "objective", "data_term", "coupling_term", "l1_term"),
+                  [(i, f, *parts) for i, (f, parts) in enumerate(zip(trace.objective, trace.parts))])
+        files[f"desk {name} image.npy"] = image_path
+        files[f"desk {name} trace.csv"] = trace_path
+    return files
+
+
+def digest_record(files: dict) -> dict:
+    outputs = {}
+    for key, path in files.items():
+        values = read_numbers(path).astype(np.float64)
+        outputs[key] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                        "sum": float(np.sum(values)), "sum_sq": float(np.sum(values * values))}
+    return {"fingerprint": fingerprint(), "outputs": outputs}
+
+
+def test_output_digests(desk_run, tmp_path):
+    stored = json.loads(DIGESTS.read_text())
+    current = digest_record(output_files(desk_run.dictionary, tmp_path))
+    if stored["fingerprint"] == current["fingerprint"]:
+        how = "fingerprint matches: every SHA-256 must match"
+        same = lambda a, b: a["sha256"] == b["sha256"]
+    else:
+        how = (f"fingerprint differs ({stored['fingerprint']} stored, {current['fingerprint']} "
+               f"here): fallback ran, sum and sum_sq compared at {SUMMARY_RTOL:g} relative")
+        same = lambda a, b: all(math.isclose(a[k], b[k], rel_tol=SUMMARY_RTOL)
+                                for k in ("sum", "sum_sq"))
+    old, new = stored["outputs"], current["outputs"]
+    differ = [key for key in sorted(old.keys() | new.keys())
+              if key not in old or key not in new or not same(old[key], new[key])]
+    print(f"\nOUTPUT DIGESTS {len(new)} outputs; {how}")
+    if differ:
+        print(f"recomputed {DIGESTS.name}:\n{json.dumps(current, indent=1)}")
+    assert not differ, f"{how}; differing keys: {differ} (recomputed file in stdout)"

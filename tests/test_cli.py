@@ -727,3 +727,20 @@ def test_make_dataset_script_writes_phantoms(tmp_path):
         assert values.shape == (32, 32)
         assert spacing == pytest.approx(2.8)
         assert values.max() > 0
+
+
+def test_desk_experiment_script_prints_every_method():
+    # A short run of the desk comparison: four method rows, each finite.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "scripts/desk_experiment.py", "--train-steps", "50",
+                           "--train-images", "4", "--iters", "3"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    lines = proc.stdout.splitlines()
+    table = lines[lines.index(f"{'method':<16} {'PSNR (dB)':>10} {'SSIM':>8}") + 1:]
+    assert [line[:16].strip() for line in table] == [
+        "fbp (hann 0.75)", "huber", "dict (conv)", "dict (patch)"]
+    for line in table:
+        psnr_db, ssim = map(float, line[16:].split())
+        assert math.isfinite(psnr_db) and math.isfinite(ssim)

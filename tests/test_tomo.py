@@ -6,7 +6,7 @@ from scipy import sparse as ssp
 from scipy import stats
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from dictolearn import tomo
+from dictolearn import desk, tomo
 from dictolearn.analytics import psnr, shepp_logan
 from dictolearn.operators import ContractError, ImageGrid
 from dictolearn.tomo import (
@@ -115,8 +115,7 @@ def test_norm_sq_is_certified_and_tight(geom, n, zero_columns):
 
 
 def test_norm_sq_desk_steps_and_lanczos(monkeypatch):
-    geom = AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8)
-    proj = Projector(geom, (128, 128), 2.8)
+    proj = Projector(desk.GEOM, desk.GRID, desk.SPACING)
     calls = []
     forward = proj.forward
     monkeypatch.setattr(proj, "forward", lambda x: calls.append(1) or forward(x))
@@ -141,8 +140,7 @@ ODD = AcquisitionGeometry(num_angles=37, num_bins=45, detector_spacing=1.0)
 
 
 @pytest.mark.parametrize("geom, grid_shape, spacing", [
-    pytest.param(AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8),
-                 (128, 128), 2.8, id="desk"),
+    pytest.param(desk.GEOM, desk.GRID, desk.SPACING, id="desk"),
     pytest.param(ODD, (20, 28), 1.0, id="odd"),
 ])
 def test_matrix_matches_coo_assembly(geom, grid_shape, spacing):
@@ -172,10 +170,9 @@ def test_rebuilt_blocks_match_kept_matrix_bitwise(rng, monkeypatch):
 def test_projector_build_memory_peak():
     # Blocks bound the assembly temporaries: the build peaks near the
     # size of what the projector keeps, the matrix and its transpose.
-    geom = AcquisitionGeometry(num_angles=180, num_bins=192, detector_spacing=2.8)
     tracemalloc.start()
     try:
-        proj = Projector(geom, (128, 128), 2.8)
+        proj = Projector(desk.GEOM, desk.GRID, desk.SPACING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
