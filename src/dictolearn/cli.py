@@ -246,14 +246,13 @@ def cmd_train(args, opt):
         initial_lambda=lam0 if lam0 != 0 else None,
         seed=_substream(args.seed, "train"),
     )
-    geom = None
-    if opt["remove_low_frequency"]:
-        geom = _geometry(opt)
-    else:
-        # Unused without the low-pass split, but still refused when out of range.
-        tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
+    # Only the low-pass split uses the geometry and cutoff, but every run
+    # refuses them out of range.
+    geom = _geometry(opt)
+    tomo.check_cutoff(opt["lowpass_cutoff"], "lowpass_cutoff")
+    split = geom if opt["remove_low_frequency"] else None
 
-    dictionary, log = learn.train_dictionary(dataset, cfg, geom, opt["lowpass_cutoff"])
+    dictionary, log = learn.train_dictionary(dataset, cfg, split, opt["lowpass_cutoff"])
     header = ("step", "lambda", "sparsity", "objective", "dead_atoms", "duality_gap")
     rows = [astuple(record) for record in log.records]
     print(f"train: {cfg.steps} steps on {len(dataset)} images "
@@ -265,6 +264,8 @@ def cmd_train(args, opt):
 
 
 def cmd_reconstruct(args, opt):
+    if args.save_coefficients and args.method not in ("dict", "dict-patch"):
+        raise ConfigError(f"method {args.method!r} has no coefficients to save")
     y = _read_sinogram(opt, args.sinogram)
     n, spacing, method = opt["grid_size"], opt["pixel_spacing"], args.method
 

@@ -6,39 +6,38 @@ The dictionary methods split the image into a fixed low-frequency part
     min_{x, z}  L(A(x), y) + lambda1 * ||x - S(z)||^2 + lambda2 * ||z||_1
 
 by alternating accelerated steps: a gradient step in x and a proximal
-gradient step in z, each with its own step size. The z step is
-:func:`dictolearn.sparse.z_step`, the one that FISTA sparse coding takes;
-it returns the new (z, S z) with the step's coupling and l1 terms. The
-convolutional variant couples through
-:class:`dictolearn.sparse.SynthesisCoupling`; the variant regularizing
-all overlapping patches through ``_OverlapPatchCoupling`` here, which has
-the same interface: ``z_zero``, ``lz``, ``l1_weight``, ``grad_z`` and
-``synth_value``, which gives S z and the coupling value from one
-synthesis. Both keep z channel-first: (m, H, W) and (m, H+k-1, W+k-1).
-The z step bounds are closed forms that need no safety factor: the
-spectral bound :meth:`ConvSynthesis.norm_sq` and the exact
-sigma_max(D)^2 of :meth:`PatchSynthesis.norm_sq`. The data term
-L, its gradient and its step bound are :func:`dictolearn.tomo.data_loss`,
-``data_gradient`` and ``data_lipschitz``, which the Huber baseline uses
-too; the bound rests on the certified ||A||^2 of :meth:`Projector.norm_sq`,
-again with no safety factor. The overlapping-patch variant normalizes its
-per-patch terms by the patch coverage, so its z = 0 path coincides with
-the convolutional one.
+gradient step in z, each with its own step size. The baseline solves
+min_x L(A(x), y) + lam * H_gamma(grad x) from an FBP start. All three run
+one driver, ``_accelerated_recon``, on a penalty: ``_HuberPenalty`` or a
+coupling. A penalty gives ``start(x)`` and ``step(x, *rest, scale)``,
+which return its state entries and objective terms, and the x-gradient
+``grad_x(x, *rest)`` with its Lipschitz bound ``lx``; the driver never
+asks which penalty it holds. The couplings, the convolutional
+:class:`dictolearn.sparse.SynthesisCoupling` and ``_OverlapPatchCoupling``
+here over all overlapping patches, step z by
+:meth:`dictolearn.sparse.Coupling.step`, as FISTA sparse coding does. Both
+keep z channel-first: (m, H, W) and (m, H+k-1, W+k-1). The z step bounds are
+closed forms that need no safety factor: the spectral bound
+:meth:`ConvSynthesis.norm_sq` and the exact sigma_max(D)^2 of
+:meth:`PatchSynthesis.norm_sq`. The data term L, its gradient and its step
+bound are :func:`dictolearn.tomo.data_loss`, ``data_gradient`` and
+``data_lipschitz``; the bound rests on the certified ||A||^2 of
+:meth:`Projector.norm_sq`, again with no safety factor. The
+overlapping-patch variant normalizes its per-patch terms by the patch
+coverage, so its z = 0 path coincides with the convolutional one.
 
-Both methods and the Huber baseline run :func:`accelerated_descent`, so
-they share one restart policy. An objective rise beyond rounding restarts
-the momentum from the last iterate; a rise from a plain step doubles the
-step bounds once per solve; a rise after that is kept and counted in
-``Descent.unresolved``. With valid bounds traces are non-increasing.
+The driver runs :func:`accelerated_descent`, so all three share its
+restart policy and its ``Descent`` record; with valid bounds traces are
+non-increasing.
 
-Each dictionary-method step runs the projector forward A x_new, its data
-term and the adjoint that gives the data gradient g(x_new) on one worker
-thread while the calling thread runs the z step. The state carries g,
-affine in x, so its extrapolation stays exact and the x step takes no
-product of A. The threads only read x_new and write arrays of their own,
-and scipy's sparse products and BLAS release the interpreter lock, so they
-overlap and give bit for bit the results of running in turn. The worker
-lives for one solve and re-raises its exceptions unchanged on the caller.
+Each step runs the projector forward A x_new, its data term and the
+adjoint that gives the data gradient g(x_new) on one worker thread while
+the calling thread runs the penalty's step. The state carries g, affine in
+x, so its extrapolation stays exact and the x step takes no product of A.
+The threads only read x_new and write arrays of their own, and scipy's
+sparse products and BLAS release the interpreter lock, so they overlap and
+give bit for bit the results of running in turn. The worker lives for one
+solve and re-raises its exceptions unchanged on the caller.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis, _fold
-from .sparse import SynthesisCoupling, accelerated_descent, z_state, z_step
+from .sparse import Coupling, SynthesisCoupling, accelerated_descent
 from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_loss, fbp,
                    get_projector, likelihood_weights)
 
@@ -104,7 +103,7 @@ class HuberConfig:
             raise ContractError("HuberConfig values must be positive")
 
 
-class _OverlapPatchCoupling:
+class _OverlapPatchCoupling(Coupling):
     """Per-patch coupling over all overlapping k-by-k patches.
 
     Patches are taken at every offset of the zero-padded image, so every
@@ -112,12 +111,11 @@ class _OverlapPatchCoupling:
     normalized by that coverage. z is (m, H+k-1, W+k-1), one map per atom
     over the patch positions. Tiles and patches are (k, k, H+k-1, W+k-1):
     plane (dy, dx) holds pixel (dy, dx) of every patch. The tiles are
-    D^T z; the patches are a zero-copy window view of the padded x. Like
-    every coupling it gives ``z_zero``, ``lz``, ``l1_weight``, ``grad_z``
-    and ``synth_value``, which returns the coverage-averaged patch
-    recomposition S z, making the x-gradient 2*lambda1*(x - S z), and the
-    coupling value. ``grad_z`` and ``synth_value`` each compute the tiles
-    once and do their elementwise work in place in them.
+    D^T z; the patches are a zero-copy window view of the padded x.
+    ``synth_value`` returns the coverage-averaged patch recomposition S z,
+    making the x-gradient 2*lambda1*(x - S z), and the coupling value.
+    ``grad_z`` and ``synth_value`` each compute the tiles once and do their
+    elementwise work in place in them.
     """
 
     def __init__(self, dict_: Dictionary, grid_shape, lambda1, lambda2):
@@ -156,44 +154,43 @@ class _OverlapPatchCoupling:
         return np.multiply(grad, 2.0 * self.lambda1 / self.k ** 2, out=grad).reshape(z.shape)
 
 
-def _accelerated_recon(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing, coupling,
-                       return_coefficients: bool = False):
-    proj = get_projector(y.geometry, grid_shape, pixel_spacing)
-    w = likelihood_weights(y)
+def _accelerated_recon(proj, w, target, x, penalty, iters):
+    """Minimize ``L(A x, target) + penalty`` from x; returns ``((x, g, *rest), Descent)``."""
+    lx = data_lipschitz(proj, w) + penalty.lx
 
-    x_lf = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=cfg.lowpass_cutoff).values
-    y_res = y.values - proj.forward(x_lf)
-    x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
-
-    lx = data_lipschitz(proj, w) + 2.0 * cfg.lambda1
-
-    def forward_loss(x_new):
+    def data(x_new):
         ax_new = proj.forward(x_new)
-        return data_gradient(proj, ax_new, y_res, w), data_loss(ax_new, y_res, w)
+        return data_gradient(proj, ax_new, target, w), data_loss(ax_new, target, w)
 
-    # The state carries the data gradient g(x) and S(z) beside (x, z); g is
-    # affine in x, so its extrapolation is g at the extrapolated point. Each
-    # step costs, on the worker beside the z step, one forward and one
-    # adjoint of A at x_new, and on the caller one grad_z and one
-    # synth_value: products with the flat atoms D, two for S the convolution
-    # (adjoint and apply) and three for the overlap coupling, and in both
-    # one fold of the tiles.
+    # The state carries the data gradient g(x) and the penalty's entries
+    # beside x; g is affine in x, so its extrapolation is g at the
+    # extrapolated point. Each step costs one forward and one adjoint of A
+    # at x_new on the worker, beside the penalty's step on the caller.
     def step(point, scale):
-        xp, gp, zp, szp = point
-        x_new = xp - (gp + 2.0 * cfg.lambda1 * (xp - szp)) / (scale * lx)
-        forward = worker.submit(forward_loss, x_new)
-        z_new, parts = z_step(coupling, x_new, zp, szp, scale)
-        g_new, data = forward.result()
-        return (x_new, g_new) + z_new, (data,) + parts
+        xp, gp, *rest = point
+        x_new = xp - (gp + penalty.grad_x(xp, *rest)) / (scale * lx)
+        forward = worker.submit(data, x_new)
+        rest_new, parts = penalty.step(x_new, *rest, scale)
+        g_new, loss = forward.result()
+        return (x_new, g_new) + rest_new, (loss,) + parts
 
-    g, data = forward_loss(x)
-    zs, parts = z_state(coupling, x, coupling.z_zero())
+    g, loss = data(x)
+    rest, parts = penalty.start(x)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        (x, _, z, _), run = accelerated_descent(step, (x, g) + zs, sum((data,) + parts), cfg.iters)
+        return accelerated_descent(step, (x, g) + rest, sum((loss,) + parts), iters)
+
+
+def _reconstruct_split(y: Sinogram, cfg: ReconConfig, grid_shape, pixel_spacing, coupling,
+                       return_coefficients: bool):
+    """Solve for the high-pass part above the fixed low-pass FBP x_lf of ``y``."""
+    proj = get_projector(y.geometry, grid_shape, pixel_spacing)
+    x_lf = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=cfg.lowpass_cutoff).values
+    target = y.values - proj.forward(x_lf)
+    x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=1.0).values - x_lf
+    (x, _, z, _), run = _accelerated_recon(proj, likelihood_weights(y), target, x, coupling,
+                                           cfg.iters)
     image = ImageGrid(x_lf + x, pixel_spacing)
-    if return_coefficients:
-        return image, run, z
-    return image, run
+    return (image, run, z) if return_coefficients else (image, run)
 
 
 def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
@@ -208,7 +205,7 @@ def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     the final channel-first coefficients.
     """
     coupling = SynthesisCoupling(dict_, "convolutional", grid_shape, cfg.lambda1, cfg.lambda2)
-    return _accelerated_recon(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
+    return _reconstruct_split(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
 
 
 def reconstruct_dict_patch(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
@@ -216,7 +213,7 @@ def reconstruct_dict_patch(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
                            return_coefficients: bool = False):
     """Reconstruct with the overlapping-patch regularizer variant."""
     coupling = _OverlapPatchCoupling(dict_, grid_shape, cfg.lambda1, cfg.lambda2)
-    return _accelerated_recon(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
+    return _reconstruct_split(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
 
 
 def image_gradient(x: np.ndarray):
@@ -247,25 +244,28 @@ def huber_value(values: np.ndarray, gamma: float) -> float:
     return float(np.sum(np.where(quad, values * values / (2.0 * gamma), a - gamma / 2.0)))
 
 
-def _huber_slope(values: np.ndarray, gamma: float) -> np.ndarray:
-    return np.clip(values / gamma, -1.0, 1.0)
+class _HuberPenalty:
+    """``lam * H_gamma(grad x)``: a penalty of ``_accelerated_recon`` with no state of its own."""
 
+    def __init__(self, cfg: HuberConfig):
+        self.lam, self.gamma = cfg.lam, cfg.gamma
+        # ||grad||^2 <= 8 for forward differences; the Huber slope is (1/gamma)-Lipschitz.
+        self.lx = 8.0 * cfg.lam / cfg.gamma
 
-def _huber_objective(x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndarray,
-                     cfg: HuberConfig) -> float:
-    """``L(A x, y) + lam * H_gamma(grad x)``, given x and its projection ``ax``."""
-    gh, gv = image_gradient(x)
-    return data_loss(ax, y.values, w) \
-        + cfg.lam * (huber_value(gh, cfg.gamma) + huber_value(gv, cfg.gamma))
+    def value(self, x):
+        gh, gv = image_gradient(x)
+        return self.lam * (huber_value(gh, self.gamma) + huber_value(gv, self.gamma))
 
+    def grad_x(self, x):
+        gh, gv = image_gradient(x)
+        return self.lam * image_gradient_adjoint(np.clip(gh / self.gamma, -1.0, 1.0),
+                                                 np.clip(gv / self.gamma, -1.0, 1.0))
 
-def _huber_gradient(proj, x: np.ndarray, ax: np.ndarray, y: Sinogram, w: np.ndarray,
-                    cfg: HuberConfig) -> np.ndarray:
-    """Gradient in x of :func:`_huber_objective`."""
-    gh, gv = image_gradient(x)
-    return data_gradient(proj, ax, y.values, w) \
-        + cfg.lam * image_gradient_adjoint(_huber_slope(gh, cfg.gamma),
-                                           _huber_slope(gv, cfg.gamma))
+    def start(self, x):
+        return (), (self.value(x),)
+
+    def step(self, x, scale):
+        return self.start(x)
 
 
 def huber_loss_and_gradient(x: ImageGrid, y: Sinogram, cfg: HuberConfig):
@@ -273,34 +273,22 @@ def huber_loss_and_gradient(x: ImageGrid, y: Sinogram, cfg: HuberConfig):
     proj = get_projector(y.geometry, x.shape, x.pixel_spacing)
     w = likelihood_weights(y)
     ax = proj.forward(x.values)
-    return (_huber_objective(x.values, ax, y, w, cfg),
-            x.like(_huber_gradient(proj, x.values, ax, y, w, cfg)))
+    penalty = _HuberPenalty(cfg)
+    return (data_loss(ax, y.values, w) + penalty.value(x.values),
+            x.like(data_gradient(proj, ax, y.values, w) + penalty.grad_x(x.values)))
 
 
 def reconstruct_huber(y: Sinogram, cfg: HuberConfig, grid_shape,
                       pixel_spacing: float = 1.0, return_trace: bool = False):
     """Weighted least squares plus Huber-of-gradient, by accelerated descent.
 
-    Runs exactly ``cfg.iters`` iterations of :func:`accelerated_descent`
-    on the state ``(x, A x)`` from an FBP warm start. With
-    ``return_trace`` also returns the per-iteration objective values.
+    Runs exactly ``cfg.iters`` iterations of the reconstruction driver
+    from an FBP warm start. With ``return_trace`` also returns the
+    per-iteration objective values.
     """
     proj = get_projector(y.geometry, grid_shape, pixel_spacing)
-    w = likelihood_weights(y)
-    # ||grad||^2 <= 8 for forward differences; the Huber slope is
-    # (1/gamma)-Lipschitz.
-    lip = data_lipschitz(proj, w) + 8.0 * cfg.lam / cfg.gamma
-
-    def step(point, scale):
-        xp, axp = point
-        x_new = xp - _huber_gradient(proj, xp, axp, y, w, cfg) / (scale * lip)
-        ax_new = proj.forward(x_new)
-        return (x_new, ax_new), (_huber_objective(x_new, ax_new, y, w, cfg),)
-
     x = fbp(y, grid_shape, pixel_spacing, window="hann", cutoff=0.75).values
-    start = (x, proj.forward(x))
-    (x, _), run = accelerated_descent(step, start, _huber_objective(*start, y, w, cfg), cfg.iters)
+    (x, _), run = _accelerated_recon(proj, likelihood_weights(y), y.values, x,
+                                     _HuberPenalty(cfg), cfg.iters)
     image = ImageGrid(x, pixel_spacing)
-    if return_trace:
-        return image, run.objective
-    return image
+    return (image, run.objective) if return_trace else image

@@ -3,23 +3,21 @@
 :class:`SynthesisCoupling` is ``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``
 for either synthesis mode, with the closed-form step bound ``2 lambda1
 norm_sq()``: sigma_max(D)^2 in patch mode (exact), the spectral bound in
-convolutional mode; no safety factor and no power iteration. Its
-:func:`z_step` is the one proximal z-step of both dictionary
-reconstructions in ``recon`` and of FISTA sparse coding, which in patch
-mode runs it on a coupling in Gram form: one (m x m)(m x tiles) product
-per iteration and no apply or adjoint of S. Every coupling has ``z_zero``,
-``lz``, ``l1_weight``, ``grad_z`` and ``synth_value``, which returns S z
-and the coupling value from one synthesis; :func:`z_step` and
-:func:`z_state` return the state entries (z, S z) with the objective
-terms (coupling, l1), so no caller synthesizes the same z twice.
-Coefficients are plain channel-first arrays in both modes, so every
-coupling's z, and the z :func:`fista_sparse_code` returns, is an
+convolutional mode; no safety factor and no power iteration. Every
+coupling derives from :class:`Coupling`, whose ``step`` is the one
+proximal z-step of both dictionary reconstructions in ``recon`` and of
+FISTA sparse coding, which in patch mode runs it on a coupling in Gram
+form: one (m x m)(m x tiles) product per iteration and no apply or adjoint
+of S. ``state``, ``start`` and ``step`` return the state entries (z, S z)
+with the objective terms (coupling, l1), so no caller synthesizes the
+same z twice. Coefficients are plain channel-first arrays in both modes,
+so every coupling's z, and the z :func:`fista_sparse_code` returns, is an
 (m, rows, cols) array whose shape the synthesis operator fixes.
 
-:func:`accelerated_descent` runs this solver, both dictionary
-reconstructions and the Huber baseline under one restart policy: a rise
-beyond rounding restarts the momentum, a rise from a plain step doubles
-the bounds once per solve, and a rise after that is kept and counted. It
+:func:`accelerated_descent` runs this solver and ``recon``'s one
+reconstruction driver under one restart policy: a rise beyond rounding
+restarts the momentum, a rise from a plain step doubles the bounds once
+per solve, and a rise after that is kept and counted. It
 takes an optional stop test; only patch-mode sparse coding given a gap
 tolerance passes one, which ends the solve once :func:`duality_gap`'s
 certificate is small enough, so every other solve runs its full
@@ -53,8 +51,6 @@ __all__ = [
     "Descent",
     "accelerated_descent",
     "SynthesisCoupling",
-    "z_state",
-    "z_step",
     "fista_sparse_code",
     "duality_gap",
 ]
@@ -196,14 +192,46 @@ def accelerated_descent(step, start, f_start: float, iters: int,
     return state, run
 
 
-class SynthesisCoupling:
+class Coupling:
+    """The z step and x terms shared by every coupling of x and coefficients z.
+
+    A subclass gives the step bound ``lz``, the ``l1_weight``, the zero
+    start ``z_zero()``, the z-gradient ``grad_z(x, z, sz)`` and
+    ``synth_value(x, z)``, which returns S z and the coupling value
+    together. ``grad_x`` and ``lx``, the x-gradient of ``lambda1 ||x - S z||^2``
+    and its Lipschitz bound, make a coupling a penalty of ``recon``'s
+    reconstruction driver (not the Gram form, whose x is fixed).
+    """
+
+    def state(self, x, z):
+        """``((z, S z), (coupling, l1))``: z, its synthesis and its objective terms at image x."""
+        sz, value = self.synth_value(x, z)
+        return (z, sz), (value, self.l1_weight * float(np.sum(np.abs(z))))
+
+    def start(self, x):
+        """:meth:`state` at z = 0."""
+        return self.state(x, self.z_zero())
+
+    def step(self, x, z, sz, scale: float):
+        """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``, as :meth:`state`.
+
+        z_new = soft_threshold(z - grad_z / lz, l1_weight / lz), lz = scale * self.lz.
+        """
+        lz = scale * self.lz
+        return self.state(x, soft_threshold(z - self.grad_z(x, z, sz) / lz, self.l1_weight / lz))
+
+    def grad_x(self, x, z, sz):
+        return 2.0 * self.lambda1 * (x - sz)
+
+    @property
+    def lx(self):
+        return 2.0 * self.lambda1
+
+
+class SynthesisCoupling(Coupling):
     """``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``, S from :func:`make_synthesis`.
 
-    A coupling gives :func:`z_step` everything it needs: the step bound
-    ``lz``, the ``l1_weight``, the zero start ``z_zero()``, the z-gradient
-    ``grad_z(x, z, sz)`` and ``synth_value(x, z)``, which returns S z and
-    the value of the coupling term together. z is channel-first,
-    (m, rows, cols), in this coupling as in every other.
+    z is channel-first, (m, rows, cols), in this coupling as in every other.
     """
 
     def __init__(self, dict_: Dictionary, mode: str, grid_shape, lambda1, lambda2):
@@ -224,7 +252,7 @@ class SynthesisCoupling:
         return 2.0 * self.lambda1 * self.op.adjoint(sz - x)
 
 
-class _GramCoupling:
+class _GramCoupling(Coupling):
     """Patch-mode coupling for one fixed x: ``G z`` in place of ``S z``, G = D D^T.
 
     z is (m, H/k, W/k); ``G z`` multiplies its (m, tiles) view. With
@@ -269,28 +297,12 @@ class _GramCoupling:
         return (primal - (2.0 * s * x_r - s * s * r_sq)) / primal
 
 
-def z_state(coupling, x, z):
-    """``((z, S z), (coupling, l1))``: z, its synthesis and its objective terms at image x."""
-    sz, value = coupling.synth_value(x, z)
-    return (z, sz), (value, coupling.l1_weight * float(np.sum(np.abs(z))))
-
-
-def z_step(coupling, x, z, sz, scale: float):
-    """One proximal-gradient z step from ``(z, sz = S z)`` at image ``x``, as :func:`z_state`.
-
-    z_new = soft_threshold(z - grad_z / lz, l1_weight / lz), lz = scale * coupling.lz.
-    """
-    lz = scale * coupling.lz
-    z_new = soft_threshold(z - coupling.grad_z(x, z, sz) / lz, coupling.l1_weight / lz)
-    return z_state(coupling, x, z_new)
-
-
 def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
                       gap_tol: float | None = None):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
     Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent`,
-    each one :func:`z_step` with l1 weight ``cfg.lam``. Patch mode carries
+    each one :meth:`Coupling.step` with l1 weight ``cfg.lam``. Patch mode carries
     ``(z, D D^T z)`` in Gram form: one adjoint of S per solve, none per
     iteration. Convolutional mode carries ``(z, S z)`` through a
     :class:`SynthesisCoupling`: one apply and one adjoint per iteration.
@@ -319,9 +331,9 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
         return done % GAP_CHECK_EVERY == 0 and coupling.relative_gap(*state, parts) <= gap_tol
 
     def step(point, scale):
-        return z_step(coupling, x.values, *point, scale)
+        return coupling.step(x.values, *point, scale)
 
-    start, parts = z_state(coupling, x.values, coupling.z_zero())
+    start, parts = coupling.start(x.values)
     try:
         (z, _), run = accelerated_descent(step, start, sum(parts), cfg.max_iters,
                                           None if gap_tol is None else stop)
@@ -343,5 +355,5 @@ def duality_gap(dict_: Dictionary, x: ImageGrid, z: np.ndarray, lam: float) -> f
     """
     coupling = _GramCoupling(dict_, x, lam)
     z = np.asarray(z, dtype=np.float64).reshape(coupling.c.shape)
-    state, parts = z_state(coupling, x.values, z)
+    state, parts = coupling.state(x.values, z)
     return coupling.relative_gap(*state, parts)

@@ -23,8 +23,10 @@ import scipy
 from dictolearn import desk
 from dictolearn.analytics import psnr, random_ellipse_phantom
 from dictolearn.elbo import (
+    ElboReport,
     ModelParams,
     dense_matrix,
+    evidence_chain,
     elbo_lower_bound,
     elbo_monte_carlo,
     log_evidence_quadrature,
@@ -317,6 +319,8 @@ class DeskRun:
     psnr_dict: float
     psnr_fbp: float
     psnr_huber: float
+    huber_image: np.ndarray
+    huber_objective: list
     traces: list
     elapsed: float
 
@@ -332,7 +336,8 @@ def desk_run():
     data_range = float(phantom.values.max() - phantom.values.min())
 
     img_fbp = fbp(y, desk.GRID, desk.SPACING, window="hann", cutoff=0.75)
-    img_hub = reconstruct_huber(y, desk.HUBER, desk.GRID, desk.SPACING)
+    img_hub, hub_objective = reconstruct_huber(y, desk.HUBER, desk.GRID, desk.SPACING,
+                                               return_trace=True)
     img_dict, trace = reconstruct_dict(y, dictionary, desk.CONV, desk.GRID, desk.SPACING)
 
     return DeskRun(
@@ -340,6 +345,8 @@ def desk_run():
         psnr_dict=psnr(img_dict, phantom, data_range),
         psnr_fbp=psnr(img_fbp, phantom, data_range),
         psnr_huber=psnr(img_hub, phantom, data_range),
+        huber_image=img_hub.values,
+        huber_objective=hub_objective,
         traces=[trace],
         elapsed=time.time() - start,
     )
@@ -493,17 +500,39 @@ def read_numbers(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def output_files(dictionary: Dictionary, base: Path) -> dict:
+def elbo_chain_rows() -> list:
+    """``evidence_chain`` rows on models drawn as ``scripts/verify_bounds.py`` draws them.
+
+    1000 Monte-Carlo samples each. Seed 2's first eight models have 1 to 14
+    atoms and none has 2, so no 2-D quadrature runs. The evidence is left
+    out: it is nan above 2 atoms.
+    """
+    rng = np.random.default_rng(2)
+    rows = []
+    for i in range(8):
+        k = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 17))
+        d = Dictionary.random(m, k, int(rng.integers(2 ** 31)))
+        params = ModelParams(sigma=float(rng.uniform(0.15, 0.6)), b=float(rng.uniform(0.2, 0.8)),
+                             b_star=float(rng.uniform(0.01, 0.2)), n=k * k, m=m)
+        x = rng.standard_normal(k * k) * 0.6
+        report, mc, se, _, found = evidence_chain(x, d, params, 1000, int(rng.integers(2 ** 31)))
+        rows.append((i, k * k, m, *report.as_dict().values(), mc, se, len(found)))
+    return rows
+
+
+def output_files(desk_run: DeskRun, base: Path) -> dict:
     """The outputs the digest file covers, by key, each written to a file.
 
     c11's nine pipeline outputs at seed 42; the c07 dictionary as DLDICT1
-    bytes; and 30-iteration conv and patch solves of c07's scan with the
-    benchmark's pinned dictionary, each image as .npy and its trace.csv.
+    bytes; 30-iteration conv and patch solves of c07's scan with the
+    benchmark's pinned dictionary, and c07's 70-iteration Huber solve,
+    each image as .npy and its trace.csv; and :func:`elbo_chain_rows`.
     """
     files = {f"c11 {path.parent.name}/{path.name}": path
              for path in pipeline(base / "c11", seed=42)}
     files["c07 dictionary.dldict"] = base / "dict_c07.dldict"
-    write_dictionary(files["c07 dictionary.dldict"], dictionary)
+    write_dictionary(files["c07 dictionary.dldict"], desk_run.dictionary)
     pinned = read_dictionary(PINNED_DICTIONARY)
     y = desk.scan(desk.phantom(), desk.C07_NOISE_SEED)
     for name, solver, cfg in (("conv30", reconstruct_dict, desk.CONV),
@@ -516,6 +545,15 @@ def output_files(dictionary: Dictionary, base: Path) -> dict:
                   [(i, f, *parts) for i, (f, parts) in enumerate(zip(trace.objective, trace.parts))])
         files[f"desk {name} image.npy"] = image_path
         files[f"desk {name} trace.csv"] = trace_path
+    files["desk huber70 image.npy"] = base / "huber70.npy"
+    np.save(files["desk huber70 image.npy"], desk_run.huber_image)
+    files["desk huber70 trace.csv"] = base / "huber70.csv"
+    write_csv(files["desk huber70 trace.csv"], ("iter", "objective"),
+              list(enumerate(desk_run.huber_objective)))
+    files["elbo chain.csv"] = base / "elbo_chain.csv"
+    write_csv(files["elbo chain.csv"],
+              ("instance", "n", "m", *ElboReport.COLUMNS, "mc_estimate", "mc_stderr", "violations"),
+              elbo_chain_rows())
     return files
 
 
@@ -530,7 +568,7 @@ def digest_record(files: dict) -> dict:
 
 def test_output_digests(desk_run, tmp_path):
     stored = json.loads(DIGESTS.read_text())
-    current = digest_record(output_files(desk_run.dictionary, tmp_path))
+    current = digest_record(output_files(desk_run, tmp_path))
     if stored["fingerprint"] == current["fingerprint"]:
         how = "fingerprint matches: every SHA-256 must match"
         same = lambda a, b: a["sha256"] == b["sha256"]

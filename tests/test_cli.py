@@ -391,10 +391,11 @@ def test_every_csv_is_plain_numbers_with_lf(tmp_path):
                "--crop-size", 16, "--target-sparsity", 4, "--steps", 4,
                "--validation-interval", 2, *GEOM_FLAGS, "--out", runs / "train") == 0
     dict_path = runs / "train" / "dictionary.dldict"
-    for method in ("dict", "dict-patch", "fbp", "huber"):
+    for method, save in (("dict", ["--save-coefficients"]), ("dict-patch", ["--save-coefficients"]),
+                         ("fbp", []), ("huber", [])):
         assert run("reconstruct", "--sinogram", sino, "--dictionary", dict_path,
                    "--method", method, "--grid-size", 32, "--iters", 3, "--huber-iters", 3,
-                   "--save-coefficients", "--out", runs / method) == 0
+                   *save, "--out", runs / method) == 0
     assert run("evaluate", "--recon", runs / "dict" / "recon.dlgrid", "--truth", truth,
                "--out", runs / "eval") == 0
     assert run("sweep", "--sinogram", sino, "--truth", truth, "--dictionary", dict_path,
@@ -644,6 +645,9 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("simulate", ["--incident-photons", "inf"], cli.EXIT_CONTRACT),
     ("simulate", ["--incident-photons", 1e20], cli.EXIT_CONTRACT),
     ("verify-elbo", ["--b-star", "inf"], cli.EXIT_CONTRACT),
+    ("train", ["--remove-low-frequency", 0, "--detector-spacing", -1], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "fbp", "--save-coefficients"], cli.EXIT_CONFIG),
+    ("reconstruct", ["--method", "huber", "--save-coefficients"], cli.EXIT_CONFIG),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
         "initial-lambda", "learning-rate", "count-zero",
@@ -651,7 +655,8 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
         "data-range", "data-range-inf", "shape-mismatch", "coefficient-rows", "crop-size", "attenuation-scale",
         "mc-samples-negative", "coefficient-nan", "grid-size-zero", "grid-size-negative",
         "fbp-pixel-spacing-zero", "fbp-pixel-spacing-inf", "detector-spacing-inf", "incident-photons-inf",
-        "incident-photons-beyond-poisson", "b-star-inf"])
+        "incident-photons-beyond-poisson", "b-star-inf", "no-split-detector-spacing",
+        "fbp-save-coefficients", "huber-save-coefficients"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)

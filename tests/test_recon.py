@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from concurrent.futures import Future
 
@@ -10,6 +11,7 @@ from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, Image
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
+    _HuberPenalty,
     _OverlapPatchCoupling,
     _accelerated_recon,
     huber_loss_and_gradient,
@@ -20,8 +22,7 @@ from dictolearn.recon import (
     reconstruct_dict_patch,
     reconstruct_huber,
 )
-from dictolearn.sparse import (SparseCodeConfig, SynthesisCoupling, fista_sparse_code,
-                               soft_threshold, z_step)
+from dictolearn.sparse import SparseCodeConfig, SynthesisCoupling, fista_sparse_code, soft_threshold
 from dictolearn.tomo import (
     AcquisitionGeometry,
     NoiseModel,
@@ -200,19 +201,33 @@ def test_reconstruct_dict_synthesis_call_count(noisy_problem, dictionary, monkey
     assert calls == {"apply": 6, "adjoint": 5}
 
 
+DICT_CFG = ReconConfig(lambda1=500.0, lambda2=0.1, iters=40, lowpass_cutoff=0.10)
+HUBER_CFG = HuberConfig(lam=0.2, gamma=2e-4, iters=40)
+
+
+def _driver_inputs(name, y, dictionary):
+    """The projector, weights, data target, start and penalty each solver hands the driver.
+
+    The couplings start from the low-pass split at ``DICT_CFG``; Huber
+    from its FBP, with the whole sinogram as the target.
+    """
+    proj = get_projector(GEOM, (N, N), SPACING)
+    if name == "huber":
+        x = tomo.fbp(y, (N, N), SPACING, window="hann", cutoff=0.75).values
+        return proj, likelihood_weights(y), y.values, x, _HuberPenalty(HUBER_CFG)
+    x_lf = tomo.fbp(y, (N, N), SPACING, window="hann", cutoff=DICT_CFG.lowpass_cutoff).values
+    x = tomo.fbp(y, (N, N), SPACING, window="hann", cutoff=1.0).values - x_lf
+    penalty = COUPLINGS[name](dictionary, (N, N), DICT_CFG.lambda1, DICT_CFG.lambda2)
+    return proj, likelihood_weights(y), y.values - proj.forward(x_lf), x, penalty
+
+
 def test_unresolved_rises_are_counted(noisy_problem, dictionary):
     # A z step bound five times too small stays invalid after the single
     # halving, so rises survive both retries; each kept rise is counted.
     _, y = noisy_problem
-
-    class TooSmallStepBound(SynthesisCoupling):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.lz *= 0.2
-
-    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=12, lowpass_cutoff=0.10, seed=0)
-    coupling = TooSmallStepBound(dictionary, "convolutional", (N, N), cfg.lambda1, cfg.lambda2)
-    _, trace = _accelerated_recon(y, cfg, (N, N), SPACING, coupling)
+    *inputs, coupling = _driver_inputs("convolutional", y, dictionary)
+    coupling.lz *= 0.2
+    _, trace = _accelerated_recon(*inputs, coupling, 12)
     obj = np.asarray(trace.objective)
     assert np.all(np.isfinite(obj))
     slack = 1e-12 * max(1.0, abs(obj[0]))
@@ -297,16 +312,29 @@ def test_no_thread_outlives_a_solve(noisy_problem, dictionary, monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("solver", [reconstruct_dict, reconstruct_dict_patch])
-def test_a_step_runs_its_projector_products_on_the_worker(solver, noisy_problem, dictionary,
-                                                          monkeypatch):
-    # Before the first step the caller makes two forwards (the low-pass
-    # residual and the start) and three adjoints (the two FBPs and the
-    # start's data gradient). Each step then makes one forward and one
-    # adjoint, both on the worker, so the x step takes no product of A and
-    # a solve without restarts makes iters + 2 forwards and iters + 3 adjoints.
+SOLVES = {
+    "dict": lambda y, d, iters: reconstruct_dict(y, d, dataclasses.replace(DICT_CFG, iters=iters),
+                                                 (N, N), SPACING),
+    "dict-patch": lambda y, d, iters: reconstruct_dict_patch(
+        y, d, dataclasses.replace(DICT_CFG, iters=iters), (N, N), SPACING),
+    "huber": lambda y, d, iters: reconstruct_huber(
+        y, dataclasses.replace(HUBER_CFG, iters=iters), (N, N), SPACING),
+}
+
+
+@pytest.mark.parametrize("solve, forwards, adjoints", [("dict", 2, 3), ("dict-patch", 2, 3),
+                                                       ("huber", 1, 2)],
+                         ids=["reconstruct_dict", "reconstruct_dict_patch", "reconstruct_huber"])
+def test_a_step_runs_its_projector_products_on_the_worker(solve, forwards, adjoints,
+                                                          noisy_problem, dictionary, monkeypatch):
+    # Before the first step the caller makes its start's products: for the
+    # dictionary methods two forwards (the low-pass residual and the start)
+    # and three adjoints (the two FBPs and the start's data gradient), for
+    # Huber one forward and two adjoints (its FBP and the start's gradient).
+    # Each step then makes one forward and one adjoint, both on the worker,
+    # so the x step takes no product of A; a restart would add a step.
     _, y = noisy_problem
-    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=5, lowpass_cutoff=0.10)
+    iters = 5
     get_projector(GEOM, (N, N), SPACING).norm_sq()  # cached: no products of its own below
     caller = threading.current_thread()
     on_caller = {"forward": [], "adjoint": []}
@@ -321,23 +349,26 @@ def test_a_step_runs_its_projector_products_on_the_worker(solver, noisy_problem,
 
     for name in on_caller:
         monkeypatch.setattr(tomo.Projector, name, recorded(name))
-    _, trace = solver(y, dictionary, cfg, (N, N), SPACING)
-    assert trace.restarts == trace.halvings == 0
-    assert on_caller["forward"] == [True] * 2 + [False] * cfg.iters
-    assert on_caller["adjoint"] == [True] * 3 + [False] * cfg.iters
+    SOLVES[solve](y, dictionary, iters)
+    assert on_caller["forward"] == [True] * forwards + [False] * iters
+    assert on_caller["adjoint"] == [True] * adjoints + [False] * iters
 
 
-@pytest.mark.parametrize("name", ["convolutional", "overlap"])
+@pytest.mark.parametrize("name", ["convolutional", "overlap", "huber"])
 def test_carried_data_gradient_stays_exact(name, noisy_problem, dictionary, monkeypatch):
-    # A z step bound five times too small forces restarts and the halving.
-    # Through all of them the data gradient at every point a step starts
-    # from, extrapolated or not, and in the final state is the gradient at
-    # that x up to rounding: g is affine in x, and the extrapolation
-    # weights sum to 1.
+    # A step bound five times too small forces restarts and the halving:
+    # a coupling's z step bound, or Huber's x step bound, data part and
+    # penalty part alike. Through all of them the data gradient at every
+    # point a step starts from, extrapolated or not, and in the final state
+    # is the gradient at that x up to rounding: g is affine in x, and the
+    # extrapolation weights sum to 1.
     _, y = noisy_problem
-    cfg = ReconConfig(lambda1=500.0, lambda2=0.1, iters=40, lowpass_cutoff=0.10)
-    coupling = COUPLINGS[name](dictionary, (N, N), cfg.lambda1, cfg.lambda2)
-    coupling.lz *= 0.2
+    proj, w, target, x, penalty = _driver_inputs(name, y, dictionary)
+    if name == "huber":
+        monkeypatch.setattr(recon, "data_lipschitz", lambda *args: 0.2 * tomo.data_lipschitz(*args))
+        penalty.lx *= 0.2
+    else:
+        penalty.lz *= 0.2
     points = []
 
     def recording(step, *args):
@@ -349,17 +380,14 @@ def test_carried_data_gradient_stays_exact(name, noisy_problem, dictionary, monk
         return state, run
 
     monkeypatch.setattr(recon, "accelerated_descent", recording)
-    _, trace = _accelerated_recon(y, cfg, (N, N), SPACING, coupling)
+    iters = 40
+    _, trace = _accelerated_recon(proj, w, target, x, penalty, iters)
     assert trace.halvings == 1 and trace.restarts > 0
-    proj = get_projector(GEOM, (N, N), SPACING)
-    w = likelihood_weights(y)
-    x_lf = tomo.fbp(y, (N, N), SPACING, window="hann", cutoff=cfg.lowpass_cutoff).values
-    y_res = y.values - proj.forward(x_lf)
     errors = []
     for x, g in points:
-        fresh = tomo.data_gradient(proj, proj.forward(x), y_res, w)
+        fresh = tomo.data_gradient(proj, proj.forward(x), target, w)
         errors.append(np.linalg.norm(g - fresh) / np.linalg.norm(fresh))
-    assert len(points) == cfg.iters + trace.restarts + trace.halvings + 1
+    assert len(points) == iters + trace.restarts + trace.halvings + 1
     assert max(errors) <= 1e-9
 
 
@@ -373,7 +401,7 @@ COUPLINGS = {
 
 @pytest.mark.parametrize("name", COUPLINGS)
 def test_z_step_leaves_its_inputs_alone(name, rng):
-    # The worker reads x while grad_z, synth_value and z_step run on the
+    # The worker reads x while grad_z, synth_value and the z step run on the
     # calling thread, so none of them may write x, z or sz.
     shape = (12, 12)
     coupling = COUPLINGS[name](Dictionary.random(4, 3, 43), shape)
@@ -383,7 +411,7 @@ def test_z_step_leaves_its_inputs_alone(name, rng):
     inputs = [a.copy() for a in (x, z, sz)]
     coupling.grad_z(x, z, sz)
     coupling.synth_value(x, z)
-    z_step(coupling, x, z, sz, 1.0)
+    coupling.step(x, z, sz, 1.0)
     for kept, now in zip(inputs, (x, z, sz)):
         np.testing.assert_array_equal(now, kept)
 

@@ -14,8 +14,6 @@ from dictolearn.sparse import (
     fista_sparse_code,
     soft_threshold,
     sparse_objective,
-    z_state,
-    z_step,
 )
 from dictolearn.elbo import dense_matrix
 from conftest import cd_sparse_solve, estimate_lipschitz
@@ -185,9 +183,9 @@ def test_patch_fista_gram_form_matches_residual_form():
     reference = SynthesisCoupling(d, "patch", x.shape, 1.0, lam)
 
     def step(point, scale):
-        return z_step(reference, x.values, *point, scale)
+        return reference.step(x.values, *point, scale)
 
-    start, parts = z_state(reference, x.values, reference.z_zero())
+    start, parts = reference.start(x.values)
     (z_ref, _), _ = accelerated_descent(step, start, sum(parts), iters)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam, "patch"), rel=1e-12)
