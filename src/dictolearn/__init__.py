@@ -6,7 +6,6 @@ from .operators import (
     ImageGrid,
     ZeroAtomError,
     dict_gradient,
-    make_synthesis,
     normalize_atoms,
 )
 from .sparse import (

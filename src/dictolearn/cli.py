@@ -264,8 +264,8 @@ def cmd_train(args, opt):
 
 
 def cmd_reconstruct(args, opt):
-    if args.save_coefficients and args.method not in ("dict", "dict-patch"):
-        raise ConfigError(f"method {args.method!r} has no coefficients to save")
+    if args.method not in ("dict", "dict-patch") and (args.save_coefficients or args.dictionary):
+        raise ConfigError(f"method {args.method!r} takes neither --dictionary nor --save-coefficients")
     y = _read_sinogram(opt, args.sinogram)
     n, spacing, method = opt["grid_size"], opt["pixel_spacing"], args.method
 

@@ -198,7 +198,7 @@ def posterior_mode(x, dict_: Dictionary, params: ModelParams,
     x = _check_dims(x, dict_, params)
     image, lam = _mode_problem(x, dict_, params)
     cfg = SparseCodeConfig(lam=lam, max_iters=fista_iters)
-    z, _ = fista_sparse_code(dict_, image, cfg, "patch", gap_tol=MODE_GAP_TOL)
+    z, _ = fista_sparse_code(dict_, image, cfg, gap_tol=MODE_GAP_TOL)
     return z.ravel()
 
 

@@ -19,7 +19,6 @@ from .operators import (
     Dictionary,
     ImageGrid,
     PatchSynthesis,
-    dict_gradient,
     normalize_atoms,
 )
 from .sparse import SparseCodeConfig, duality_gap, fista_sparse_code
@@ -241,12 +240,13 @@ def train_dictionary(dataset, cfg: TrainConfig,
 
     def code(dict_, values, iters):
         sc = SparseCodeConfig(lam=lam, max_iters=iters)
-        return fista_sparse_code(dict_, ImageGrid(values), sc, "patch")
+        return fista_sparse_code(dict_, ImageGrid(values), sc)
 
     for step in range(1, cfg.steps + 1):
         crop = random_crop(highpass[int(rng.choice(train_idx))])
         z, _ = code(dictionary, crop, cfg.fista_iters)
-        grad = dict_gradient(dictionary, z, ImageGrid(crop), "patch")
+        op = PatchSynthesis(dictionary, crop.shape)
+        grad = op.dict_gradient(z, op.apply(z) - crop)
         adam, atoms = adam_update(adam, grad, dictionary.atoms, cfg.learning_rate)
 
         norms = np.linalg.norm(atoms.reshape(cfg.atom_count, -1), axis=1)

@@ -9,8 +9,8 @@ planes, (k, k, ...) arrays whose plane (dy, dx) holds atom pixel
 (dy, dx) at every position: each apply, adjoint and atom gradient is one
 matrix product with the (m, k*k) flat atoms D. Coefficients are plain
 channel-first arrays, one map per atom, of the shape the operator fixes
-in ``coefficient_shape``: (m, H, W) in convolutional mode, (m, H/k, W/k)
-in patch mode. ``apply`` checks that shape.
+in ``coefficient_shape``: (m, H, W) for the convolutional one,
+(m, H/k, W/k) for the patch one. ``apply`` checks that shape.
 
 Conventions, fixed so the adjoint pairs are exact:
 
@@ -35,14 +35,9 @@ __all__ = [
     "Dictionary",
     "ConvSynthesis",
     "PatchSynthesis",
-    "make_synthesis",
     "dict_gradient",
     "normalize_atoms",
 ]
-
-CONVOLUTIONAL = "convolutional"
-PATCH = "patch"
-
 
 class ContractError(ValueError):
     """An input violates a documented precondition (shape, mode, range)."""
@@ -283,22 +278,19 @@ class PatchSynthesis:
         return np.zeros(self.coefficient_shape)
 
 
-def make_synthesis(dict_: Dictionary, mode: str, grid_shape):
-    """Factory for the synthesis operator of the requested mode."""
-    if mode == CONVOLUTIONAL:
-        return ConvSynthesis(dict_, grid_shape)
-    if mode == PATCH:
-        return PatchSynthesis(dict_, grid_shape)
-    raise ContractError(f"unknown mode {mode!r}")
-
-
 def dict_gradient(dict_: Dictionary, z: np.ndarray, x: ImageGrid, mode: str) -> np.ndarray:
     """Exact gradient of ``atoms -> ||S(z) - x||^2`` in atom coordinates.
 
-    Works in either synthesis mode; returns an array shaped like
+    S is :class:`ConvSynthesis` for ``mode`` "convolutional" and
+    :class:`PatchSynthesis` for "patch"; returns an array shaped like
     ``dict_.atoms``.
     """
-    op = make_synthesis(dict_, mode, x.shape)
+    if mode == "convolutional":
+        op = ConvSynthesis(dict_, x.shape)
+    elif mode == "patch":
+        op = PatchSynthesis(dict_, x.shape)
+    else:
+        raise ContractError(f"unknown mode {mode!r}")
     residual = op.apply(z) - x.values
     return op.dict_gradient(z, residual)
 

@@ -12,9 +12,9 @@ one driver, ``_accelerated_recon``, on a penalty: ``_HuberPenalty`` or a
 coupling. A penalty gives ``start(x)`` and ``step(x, *rest, scale)``,
 which return its state entries and objective terms, and the x-gradient
 ``grad_x(x, *rest)`` with its Lipschitz bound ``lx``; the driver never
-asks which penalty it holds. The couplings, the convolutional
-:class:`dictolearn.sparse.SynthesisCoupling` and ``_OverlapPatchCoupling``
-here over all overlapping patches, step z by
+asks which penalty it holds. The couplings, a
+:class:`dictolearn.sparse.SynthesisCoupling` over :class:`ConvSynthesis`
+and ``_OverlapPatchCoupling`` here over all overlapping patches, step z by
 :meth:`dictolearn.sparse.Coupling.step`, as FISTA sparse coding does. Both
 keep z channel-first: (m, H, W) and (m, H+k-1, W+k-1). The z step bounds are
 closed forms that need no safety factor: the spectral bound
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis, _fold
+from .operators import ContractError, ConvSynthesis, Dictionary, ImageGrid, PatchSynthesis, _fold
 from .sparse import Coupling, SynthesisCoupling, accelerated_descent
 from .tomo import (Sinogram, check_cutoff, data_gradient, data_lipschitz, data_loss, fbp,
                    get_projector, likelihood_weights)
@@ -204,7 +204,7 @@ def reconstruct_dict(y: Sinogram, dict_: Dictionary, cfg: ReconConfig,
     (data, coupling, l1) per iteration; with ``return_coefficients`` also
     the final channel-first coefficients.
     """
-    coupling = SynthesisCoupling(dict_, "convolutional", grid_shape, cfg.lambda1, cfg.lambda2)
+    coupling = SynthesisCoupling(ConvSynthesis(dict_, grid_shape), cfg.lambda1, cfg.lambda2)
     return _reconstruct_split(y, cfg, grid_shape, pixel_spacing, coupling, return_coefficients)
 
 

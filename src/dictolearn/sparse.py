@@ -1,29 +1,29 @@
 """L1-regularized sparse coding, its z-step, and the shared accelerated proximal-gradient loop.
 
 :class:`SynthesisCoupling` is ``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``
-for either synthesis mode, with the closed-form step bound ``2 lambda1
-norm_sq()``: sigma_max(D)^2 in patch mode (exact), the spectral bound in
-convolutional mode; no safety factor and no power iteration. Every
-coupling derives from :class:`Coupling`, whose ``step`` is the one
-proximal z-step of both dictionary reconstructions in ``recon`` and of
-FISTA sparse coding, which in patch mode runs it on a coupling in Gram
-form: one (m x m)(m x tiles) product per iteration and no apply or adjoint
-of S. ``state``, ``start`` and ``step`` return the state entries (z, S z)
-with the objective terms (coupling, l1), so no caller synthesizes the
-same z twice. Coefficients are plain channel-first arrays in both modes,
-so every coupling's z, and the z :func:`fista_sparse_code` returns, is an
-(m, rows, cols) array whose shape the synthesis operator fixes.
+over a given synthesis operator S, with the closed-form step bound
+``2 lambda1 norm_sq()``: the spectral bound of :class:`ConvSynthesis` or
+the exact sigma_max(D)^2 of :class:`PatchSynthesis`; no safety factor and
+no power iteration. Every coupling derives from :class:`Coupling`, whose
+``step`` is the one proximal z-step of both dictionary reconstructions in
+``recon`` and of FISTA sparse coding, which synthesizes by patches and
+runs it on a coupling in Gram form: one (m x m)(m x tiles) product per
+iteration and no apply or adjoint of S. ``state``, ``start`` and ``step``
+return the state entries (z, S z) with the objective terms (coupling, l1),
+so no caller synthesizes the same z twice. Every coupling's z, and the z
+:func:`fista_sparse_code` returns, is a channel-first (m, rows, cols)
+array whose shape the synthesis operator fixes.
 
 :func:`accelerated_descent` runs this solver and ``recon``'s one
 reconstruction driver under one restart policy: a rise beyond rounding
 restarts the momentum, a rise from a plain step doubles the bounds once
 per solve, and a rise after that is kept and counted. It
-takes an optional stop test; only patch-mode sparse coding given a gap
+takes an optional stop test; only sparse coding given a gap
 tolerance passes one, which ends the solve once :func:`duality_gap`'s
 certificate is small enough, so every other solve runs its full
 iteration count.
 
-:func:`duality_gap` certifies how far a patch-mode z is from the optimum:
+:func:`duality_gap` certifies how far a sparse code z is from the optimum:
 with r = x - S z scaled into the dual set, P(z) - D(s r) >= P(z) - P*
 (Fercoq, Gramfort & Salmon, ICML 2015). In Gram form every term of it is
 already at hand, so it costs no product.
@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    ContractError,
-    Dictionary,
-    ImageGrid,
-    make_synthesis,
-)
+from .operators import ContractError, Dictionary, ImageGrid, PatchSynthesis
 
 __all__ = [
     "SparseCodeConfig",
@@ -56,7 +51,7 @@ __all__ = [
 ]
 
 # A stop test runs after every GAP_CHECK_EVERY-th iteration of a
-# patch-mode solve that is given a gap tolerance.
+# sparse-coding solve that is given a gap tolerance.
 GAP_CHECK_EVERY = 5
 
 
@@ -107,10 +102,9 @@ def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     return np.subtract(u, out, out=out)
 
 
-def sparse_objective(dict_: Dictionary, z: np.ndarray, x: ImageGrid, lam: float,
-                     mode: str) -> float:
-    """``||S(z) - x||^2 + lam * ||z||_1``, S the synthesis of ``mode``."""
-    op = make_synthesis(dict_, mode, x.shape)
+def sparse_objective(dict_: Dictionary, z: np.ndarray, x: ImageGrid, lam: float) -> float:
+    """``||S(z) - x||^2 + lam * ||z||_1``, S the patch synthesis."""
+    op = PatchSynthesis(dict_, x.shape)
     residual = op.apply(z) - x.values
     return float(np.sum(residual * residual) + lam * np.sum(np.abs(z)))
 
@@ -229,13 +223,13 @@ class Coupling:
 
 
 class SynthesisCoupling(Coupling):
-    """``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1``, S from :func:`make_synthesis`.
+    """``lambda1 ||x - S(z)||^2 + lambda2 ||z||_1`` for a synthesis operator ``op``.
 
     z is channel-first, (m, rows, cols), in this coupling as in every other.
     """
 
-    def __init__(self, dict_: Dictionary, mode: str, grid_shape, lambda1, lambda2):
-        self.op = make_synthesis(dict_, mode, grid_shape)
+    def __init__(self, op, lambda1, lambda2):
+        self.op = op
         self.lambda1 = lambda1
         self.l1_weight = lambda2
         self.lz = 2.0 * lambda1 * self.op.norm_sq()
@@ -253,7 +247,7 @@ class SynthesisCoupling(Coupling):
 
 
 class _GramCoupling(Coupling):
-    """Patch-mode coupling for one fixed x: ``G z`` in place of ``S z``, G = D D^T.
+    """Patch-synthesis coupling for one fixed x: ``G z`` in place of ``S z``, G = D D^T.
 
     z is (m, H/k, W/k); ``G z`` multiplies its (m, tiles) view. With
     c = S^T x, the gradient is 2 (Gz - c) and the value <z, Gz - 2c> + ||x||^2,
@@ -261,7 +255,7 @@ class _GramCoupling(Coupling):
     """
 
     def __init__(self, dict_: Dictionary, x: ImageGrid, lam: float):
-        op = make_synthesis(dict_, "patch", x.shape)
+        op = PatchSynthesis(dict_, x.shape)
         self.gram = dict_.flat() @ dict_.flat().T
         self.c = op.adjoint(x.values)
         self.x_sq = float(np.vdot(x.values, x.values))
@@ -297,22 +291,21 @@ class _GramCoupling(Coupling):
         return (primal - (2.0 * s * x_r - s * s * r_sq)) / primal
 
 
-def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mode: str,
-                      gap_tol: float | None = None):
+def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig,
+                      mode: str = "patch", gap_tol: float | None = None):
     """Approximately minimize ``||S(z) - x||^2 + lam*||z||_1`` from a cold start.
 
-    Runs ``cfg.max_iters`` iterations of :func:`accelerated_descent`,
-    each one :meth:`Coupling.step` with l1 weight ``cfg.lam``. Patch mode carries
-    ``(z, D D^T z)`` in Gram form: one adjoint of S per solve, none per
-    iteration. Convolutional mode carries ``(z, S z)`` through a
-    :class:`SynthesisCoupling`: one apply and one adjoint per iteration.
-    The objective trace does not rise beyond rounding.
+    S is the patch synthesis; ``mode`` accepts only "patch", for callers
+    that pass it by position. Runs ``cfg.max_iters`` iterations of
+    :func:`accelerated_descent`, each one :meth:`Coupling.step` with l1
+    weight ``cfg.lam``, carrying ``(z, D D^T z)`` in Gram form: one adjoint
+    of S per solve, none per iteration. The objective trace does not rise
+    beyond rounding.
 
-    With ``gap_tol`` (patch mode only), the solve also stops at the first
-    check, every ``GAP_CHECK_EVERY`` iterations, where the relative
-    duality gap (see :func:`duality_gap`) is at most ``gap_tol``; the
-    iterate it returns is then bit for bit the one a run of that many
-    iterations returns.
+    With ``gap_tol``, the solve also stops at the first check, every
+    ``GAP_CHECK_EVERY`` iterations, where the relative duality gap (see
+    :func:`duality_gap`) is at most ``gap_tol``; the iterate it returns is
+    then bit for bit the one a run of that many iterations returns.
 
     Returns
     -------
@@ -320,12 +313,9 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
         The final iterate, channel-first like the operator's
         ``coefficient_shape``, and the objective value after each iteration.
     """
-    if mode == "patch":
-        coupling = _GramCoupling(dict_, x, cfg.lam)
-    elif gap_tol is not None:
-        raise ContractError("a gap tolerance needs patch mode")
-    else:
-        coupling = SynthesisCoupling(dict_, mode, x.shape, 1.0, cfg.lam)
+    if mode != "patch":
+        raise ContractError(f"sparse coding synthesizes by patches, not mode {mode!r}")
+    coupling = _GramCoupling(dict_, x, cfg.lam)
 
     def stop(done, state, parts):
         return done % GAP_CHECK_EVERY == 0 and coupling.relative_gap(*state, parts) <= gap_tol
@@ -344,7 +334,7 @@ def fista_sparse_code(dict_: Dictionary, x: ImageGrid, cfg: SparseCodeConfig, mo
 
 
 def duality_gap(dict_: Dictionary, x: ImageGrid, z: np.ndarray, lam: float) -> float:
-    """Certified relative duality gap of patch-mode coefficients z for image x.
+    """Certified relative duality gap of sparse-code coefficients z for image x.
 
     ``(P(z) - D(s r)) / P(z)`` with P(z) = ``||S z - x||^2 + lam ||z||_1``
     and the dual point of :meth:`_GramCoupling.relative_gap`, the same

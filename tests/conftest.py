@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import sparse as ssp
 
-from dictolearn.operators import make_synthesis
 from dictolearn.tomo import _ray_tables
 
 
@@ -84,9 +83,8 @@ def power_iteration_norm(apply, apply_t, shape, iters: int = 30, seed: int = 0) 
     return max(lam, 0.0)
 
 
-def estimate_lipschitz(dict_, grid_shape, mode: str, power_iters: int = 30, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest eigenvalue of S^T S."""
-    op = make_synthesis(dict_, mode, grid_shape)
+def estimate_lipschitz(op, power_iters: int = 30, seed: int = 0) -> float:
+    """Power-iteration estimate of the largest eigenvalue of S^T S for the synthesis ``op``."""
     return power_iteration_norm(op.apply, op.adjoint, op.coefficient_shape, power_iters, seed)
 
 

@@ -178,7 +178,7 @@ def test_c03_sparse_coding_oracle():
         z_cd = cd_sparse_solve(dense_matrix(d), x, lam)
         obj_cd = float(np.sum((dense_matrix(d) @ z_cd - x) ** 2) + lam * np.sum(np.abs(z_cd)))
         _, trace = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                                     SparseCodeConfig(lam=lam, max_iters=500), "patch")
+                                     SparseCodeConfig(lam=lam, max_iters=500))
         worst = max(worst, (trace[-1] - obj_cd) / abs(obj_cd))
     elapsed = time.time() - start
     report(3, "sparse-coding oracle", worst < 1e-6 and elapsed < 10.0,

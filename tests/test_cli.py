@@ -391,11 +391,11 @@ def test_every_csv_is_plain_numbers_with_lf(tmp_path):
                "--crop-size", 16, "--target-sparsity", 4, "--steps", 4,
                "--validation-interval", 2, *GEOM_FLAGS, "--out", runs / "train") == 0
     dict_path = runs / "train" / "dictionary.dldict"
-    for method, save in (("dict", ["--save-coefficients"]), ("dict-patch", ["--save-coefficients"]),
-                         ("fbp", []), ("huber", [])):
-        assert run("reconstruct", "--sinogram", sino, "--dictionary", dict_path,
+    dict_flags = ["--dictionary", dict_path, "--save-coefficients"]
+    for method, flags in (("dict", dict_flags), ("dict-patch", dict_flags), ("fbp", []), ("huber", [])):
+        assert run("reconstruct", "--sinogram", sino, *flags,
                    "--method", method, "--grid-size", 32, "--iters", 3, "--huber-iters", 3,
-                   *save, "--out", runs / method) == 0
+                   "--out", runs / method) == 0
     assert run("evaluate", "--recon", runs / "dict" / "recon.dlgrid", "--truth", truth,
                "--out", runs / "eval") == 0
     assert run("sweep", "--sinogram", sino, "--truth", truth, "--dictionary", dict_path,
@@ -584,8 +584,7 @@ def _command_argv(command, tmp_path):
     if command == "sweep":
         return ["sweep", "--sinogram", sim / "sinogram.dlgrid", "--truth", sim / "phantom.dlgrid",
                 "--dictionary", dict_path, "--grid-size", 32, "--iters", 2]
-    return ["reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--dictionary", dict_path,
-            "--grid-size", 32]
+    return ["reconstruct", "--sinogram", sim / "sinogram.dlgrid", "--grid-size", 32]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -614,7 +613,7 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
 
 @pytest.mark.parametrize("command, extra, code", [
     ("reconstruct", ["--method", "huber", "--huber-iters", 0], cli.EXIT_CONTRACT),
-    ("reconstruct", ["--method", "dict", "--iters", 0], cli.EXIT_CONTRACT),
+    ("reconstruct", ["--method", "dict", "--dictionary", "d.dldict", "--iters", 0], cli.EXIT_CONTRACT),
     ("reconstruct", ["--method", "dict-patch", "--dictionary", "bad.dldict"], cli.EXIT_IO),
     ("verify-elbo", ["--mc-samples", 10], cli.EXIT_CONTRACT),
     ("sweep", ["--lambda1-grid", "-1"], cli.EXIT_CONTRACT),
@@ -648,6 +647,8 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
     ("train", ["--remove-low-frequency", 0, "--detector-spacing", -1], cli.EXIT_CONTRACT),
     ("reconstruct", ["--method", "fbp", "--save-coefficients"], cli.EXIT_CONFIG),
     ("reconstruct", ["--method", "huber", "--save-coefficients"], cli.EXIT_CONFIG),
+    ("reconstruct", ["--method", "fbp", "--dictionary", "d.dldict"], cli.EXIT_CONFIG),
+    ("reconstruct", ["--method", "huber", "--dictionary", "d.dldict"], cli.EXIT_CONFIG),
 ], ids=["huber-iters", "dict-iters", "bad-dictionary", "mc-samples", "sweep-grid",
         "incident-photons", "fbp-cutoff", "lowpass-cutoff", "adjust-constant",
         "initial-lambda", "learning-rate", "count-zero",
@@ -656,7 +657,7 @@ def test_bad_option_value_exits_2_without_manifest(command, key, value, extra, s
         "mc-samples-negative", "coefficient-nan", "grid-size-zero", "grid-size-negative",
         "fbp-pixel-spacing-zero", "fbp-pixel-spacing-inf", "detector-spacing-inf", "incident-photons-inf",
         "incident-photons-beyond-poisson", "b-star-inf", "no-split-detector-spacing",
-        "fbp-save-coefficients", "huber-save-coefficients"])
+        "fbp-save-coefficients", "huber-save-coefficients", "fbp-dictionary", "huber-dictionary"])
 def test_out_of_range_option_writes_no_manifest(command, extra, code, tmp_path, monkeypatch):
     # The run ends before its manifest, so no manifest claims unwritten outputs.
     monkeypatch.chdir(tmp_path)

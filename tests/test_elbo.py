@@ -135,7 +135,7 @@ def test_posterior_mode_does_not_restart_on_rounding_noise(monkeypatch):
     monkeypatch.setattr(sparse, "accelerated_descent", recorded)
     iters, restart_allowance = 2000, 10
     cfg = sparse.SparseCodeConfig(lam=2 * params.sigma ** 2 / params.b, max_iters=iters)
-    sparse.fista_sparse_code(d, ImageGrid(x.reshape(4, 4)), cfg, "patch")
+    sparse.fista_sparse_code(d, ImageGrid(x.reshape(4, 4)), cfg)
     assert len(runs) == 1 and len(runs[0].parts) == iters
     assert runs[0].restarts + runs[0].halvings <= restart_allowance
     assert mode_gap(x, posterior_mode(x, d, params), d, params) <= elbo.MODE_GAP_TOL
@@ -146,10 +146,10 @@ def test_posterior_mode_is_the_iterate_of_an_unstopped_run(instance):
     z_star = posterior_mode(x, d, PARAMS)
     cfg = sparse.SparseCodeConfig(lam=2 * PARAMS.sigma ** 2 / PARAMS.b, max_iters=2000)
     image = ImageGrid(x.reshape(4, 4))
-    _, trace = sparse.fista_sparse_code(d, image, cfg, "patch", gap_tol=elbo.MODE_GAP_TOL)
+    _, trace = sparse.fista_sparse_code(d, image, cfg, gap_tol=elbo.MODE_GAP_TOL)
     assert len(trace) < cfg.max_iters
     cfg.max_iters = len(trace)
-    z_ref, _ = sparse.fista_sparse_code(d, image, cfg, "patch")
+    z_ref, _ = sparse.fista_sparse_code(d, image, cfg)
     assert np.array_equal(z_star, z_ref.ravel())
     assert elbo_lower_bound(x, d, PARAMS, z_star).mode_gap <= elbo.MODE_GAP_TOL
 

@@ -123,7 +123,7 @@ def test_measure_sparsity_matches_oracle_support():
     lam = 0.3
     z_cd = cd_sparse_solve(dense_matrix(d), x, lam)
     z, _ = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                             SparseCodeConfig(lam=lam, max_iters=500), "patch")
+                             SparseCodeConfig(lam=lam, max_iters=500))
     thr = 1e-8 * max(float(np.max(np.abs(z))), 1e-300)
     assert np.count_nonzero(np.abs(z) > thr) == np.count_nonzero(np.abs(z_cd) > thr)
 
@@ -171,7 +171,7 @@ def test_train_logs_the_validation_duality_gap(tmp_path):
                       steps=20, validation_interval=20, fista_iters=10, seed=8)
     dic, log = train_dictionary([image], cfg, geom=None)
     (rec,) = log.records
-    z, _ = fista_sparse_code(dic, image, SparseCodeConfig(lam=rec.lam, max_iters=10), "patch")
+    z, _ = fista_sparse_code(dic, image, SparseCodeConfig(lam=rec.lam, max_iters=10))
     assert rec.duality_gap == duality_gap(dic, image, z, rec.lam) > 0.0
     # train_log.csv holds each record's fields in order, and reads back exactly.
     assert [f.name for f in fields(rec)] == ["step", "lam", "sparsity", "objective",

@@ -99,7 +99,7 @@ def test_conv_norm_sq_bounds_dense_eigenvalue(m, k, shape):
 def test_conv_norm_sq_tight_against_power_iteration(shape):
     d = Dictionary.random(64, 8, 5)
     bound = ConvSynthesis(d, shape).norm_sq()
-    est = estimate_lipschitz(d, shape, "convolutional", power_iters=100)
+    est = estimate_lipschitz(ConvSynthesis(d, shape), power_iters=100)
     assert est <= bound <= 1.05 * est
 
 
@@ -182,6 +182,12 @@ def test_dict_gradient_zero_residual(rng):
     x = ImageGrid(ConvSynthesis(d, (8, 8)).apply(z))
     g = dict_gradient(d, z, x, "convolutional")
     assert np.max(np.abs(g)) < 1e-12
+
+
+def test_dict_gradient_refuses_unknown_mode(rng):
+    d = Dictionary.random(2, 3, 19)
+    with pytest.raises(ContractError):
+        dict_gradient(d, np.zeros((2, 6, 6)), ImageGrid(rng.standard_normal((6, 6))), "bogus")
 
 
 @pytest.mark.parametrize("mode", ["convolutional", "patch"])

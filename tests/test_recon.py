@@ -7,7 +7,7 @@ import pytest
 
 from dictolearn import recon, sparse
 from dictolearn.analytics import shepp_logan
-from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid
+from dictolearn.operators import ContractError, ConvSynthesis, Dictionary, ImageGrid, PatchSynthesis
 from dictolearn.recon import (
     HuberConfig,
     ReconConfig,
@@ -34,7 +34,6 @@ from dictolearn.tomo import (
     simulate_counts,
 )
 from dictolearn import tomo
-from dictolearn.operators import make_synthesis
 from conftest import adjoint_rel_err
 
 
@@ -65,16 +64,12 @@ def _layout_problem():
 
 
 LAYOUT_PRODUCERS = {
-    "zeros-conv": (lambda d, x, y: make_synthesis(d, "convolutional", x.shape).zeros(), 12),
-    "zeros-patch": (lambda d, x, y: make_synthesis(d, "patch", x.shape).zeros(), 3),
-    "adjoint-conv": (lambda d, x, y: make_synthesis(d, "convolutional", x.shape).adjoint(
-        x.values), 12),
-    "adjoint-patch": (lambda d, x, y: make_synthesis(d, "patch", x.shape).adjoint(
-        x.values), 3),
-    "fista-conv": (lambda d, x, y: fista_sparse_code(
-        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "convolutional")[0], 12),
+    "zeros-conv": (lambda d, x, y: ConvSynthesis(d, x.shape).zeros(), 12),
+    "zeros-patch": (lambda d, x, y: PatchSynthesis(d, x.shape).zeros(), 3),
+    "adjoint-conv": (lambda d, x, y: ConvSynthesis(d, x.shape).adjoint(x.values), 12),
+    "adjoint-patch": (lambda d, x, y: PatchSynthesis(d, x.shape).adjoint(x.values), 3),
     "fista-patch": (lambda d, x, y: fista_sparse_code(
-        d, x, SparseCodeConfig(lam=0.01, max_iters=3), "patch")[0], 3),
+        d, x, SparseCodeConfig(lam=0.01, max_iters=3))[0], 3),
     "reconstruct-dict": (lambda d, x, y: reconstruct_dict(
         y, d, ReconConfig(iters=2), x.shape, return_coefficients=True)[2], 12),
     "reconstruct-dict-patch": (lambda d, x, y: reconstruct_dict_patch(
@@ -392,9 +387,9 @@ def test_carried_data_gradient_stays_exact(name, noisy_problem, dictionary, monk
 
 
 COUPLINGS = {
-    "convolutional": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(d, "convolutional",
-                                                                        shape, l1, l2),
-    "patch": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(d, "patch", shape, l1, l2),
+    "convolutional": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(ConvSynthesis(d, shape),
+                                                                        l1, l2),
+    "patch": lambda d, shape, l1=1.3, l2=0.2: SynthesisCoupling(PatchSynthesis(d, shape), l1, l2),
     "overlap": lambda d, shape, l1=1.3, l2=0.2: _OverlapPatchCoupling(d, shape, l1, l2),
 }
 
@@ -469,7 +464,7 @@ def test_stationary_point_is_fixed():
     assert np.max(np.abs(gx_check)) < 1e-9
 
     # Sanity: the impulse atom makes S the identity on its channel.
-    synth = make_synthesis(d, "convolutional", (n, n)).apply(z_bar)
+    synth = ConvSynthesis(d, (n, n)).apply(z_bar)
     np.testing.assert_allclose(synth, z_bar[0], atol=1e-15)
 
     # One x gradient step (no momentum on the first iteration).

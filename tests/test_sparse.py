@@ -85,7 +85,6 @@ def test_soft_threshold_scalars_lists_and_dtypes():
 def test_estimate_lipschitz_matches_dense_eigensolver(rng):
     d = Dictionary.random(2, 3, 41)
     # Assemble S^T S for the 8x8 convolutional operator explicitly.
-    from dictolearn.operators import ConvSynthesis
     cols = []
     for i in range(2):
         for r in range(8):
@@ -95,14 +94,14 @@ def test_estimate_lipschitz_matches_dense_eigensolver(rng):
                 cols.append(ConvSynthesis(d, (8, 8)).apply(e).ravel())
     S = np.stack(cols, axis=1)
     true = np.linalg.eigvalsh(S.T @ S).max()
-    est = estimate_lipschitz(d, (8, 8), "convolutional", power_iters=100)
+    est = estimate_lipschitz(ConvSynthesis(d, (8, 8)), power_iters=100)
     assert abs(est - true) / true < 0.01
 
 
 def test_fista_zero_signal():
     d, _ = tiny_patch_instance(5)
     z, trace = fista_sparse_code(d, ImageGrid(np.zeros((4, 4))),
-                                 SparseCodeConfig(lam=0.3, max_iters=20), "patch")
+                                 SparseCodeConfig(lam=0.3, max_iters=20))
     assert z.shape == (6, 1, 1) and np.all(z == 0.0)
     assert trace[-1] == 0.0
 
@@ -113,7 +112,7 @@ def test_fista_matches_coordinate_descent_oracle():
         z_cd = cd_sparse_solve(dense_matrix(d), x, 0.1)
         obj_cd = float(np.sum((dense_matrix(d) @ z_cd - x) ** 2) + 0.1 * np.sum(np.abs(z_cd)))
         _, trace = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                                     SparseCodeConfig(lam=0.1, max_iters=400), "patch")
+                                     SparseCodeConfig(lam=0.1, max_iters=400))
         assert (trace[-1] - obj_cd) / abs(obj_cd) < 1e-6
 
 
@@ -121,14 +120,14 @@ def test_fista_kill_threshold(rng):
     d, x = tiny_patch_instance(9)
     kill = 2.0 * float(np.max(np.abs(dense_matrix(d).T @ x)))
     z, _ = fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                             SparseCodeConfig(lam=kill * 1.000001, max_iters=50), "patch")
+                             SparseCodeConfig(lam=kill * 1.000001, max_iters=50))
     assert np.count_nonzero(z) == 0
 
 
 def test_fista_trace_monotone(rng):
     d = Dictionary.random(4, 3, 43)
     x = ImageGrid(rng.standard_normal((9, 9)))
-    _, trace = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=120), "convolutional")
+    _, trace = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=120))
     assert trace[-1] <= trace[0]
     assert np.all(np.diff(trace) <= 1e-10 * trace[0])
 
@@ -150,16 +149,6 @@ def count_synthesis_calls(monkeypatch, op_class):
     return calls
 
 
-def test_fista_synthesis_call_count(rng, monkeypatch):
-    # S(z) rides in the descent state: one synthesis per iteration plus
-    # the initial one, and one adjoint per iteration.
-    calls = count_synthesis_calls(monkeypatch, ConvSynthesis)
-    d = Dictionary.random(4, 3, 43)
-    x = ImageGrid(rng.standard_normal((9, 9)))
-    fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=120), "convolutional")
-    assert calls == {"apply": 121, "adjoint": 120}
-
-
 def phantom_crop():
     """64x64 crop of a 128x128 phantom, coded with 64 random 8x8 atoms."""
     x = ImageGrid(random_ellipse_phantom(128, seed=3).values[32:96, 40:104])
@@ -167,20 +156,20 @@ def phantom_crop():
 
 
 def test_patch_fista_makes_no_synthesis_round_trip(monkeypatch):
-    # Patch mode runs in Gram form: S^T x once per solve, then one
+    # Sparse coding runs in Gram form: S^T x once per solve, then one
     # (tiles x m)(m x m) product per iteration and no apply of S.
     calls = count_synthesis_calls(monkeypatch, PatchSynthesis)
     d, x = phantom_crop()
-    fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=40), "patch")
+    fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=40))
     assert calls == {"apply": 0, "adjoint": 1}
 
 
 def test_patch_fista_gram_form_matches_residual_form():
     d, x = phantom_crop()
     lam, iters = 0.05, 40
-    z, trace = fista_sparse_code(d, x, SparseCodeConfig(lam=lam, max_iters=iters), "patch")
+    z, trace = fista_sparse_code(d, x, SparseCodeConfig(lam=lam, max_iters=iters))
 
-    reference = SynthesisCoupling(d, "patch", x.shape, 1.0, lam)
+    reference = SynthesisCoupling(PatchSynthesis(d, x.shape), 1.0, lam)
 
     def step(point, scale):
         return reference.step(x.values, *point, scale)
@@ -188,7 +177,7 @@ def test_patch_fista_gram_form_matches_residual_form():
     start, parts = reference.start(x.values)
     (z_ref, _), _ = accelerated_descent(step, start, sum(parts), iters)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
-    assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam, "patch"), rel=1e-12)
+    assert trace[-1] == pytest.approx(sparse_objective(d, z, x, lam), rel=1e-12)
 
 
 def dense_relative_gap(D, x, z, lam):
@@ -233,22 +222,29 @@ def test_gap_stop_truncates_the_trajectory():
     # iterations without a stop test returns, and it is certified.
     d, x = phantom_crop()
     cfg = SparseCodeConfig(lam=0.05, max_iters=2000)
-    z, trace = fista_sparse_code(d, x, cfg, "patch", gap_tol=1e-6)
+    z, trace = fista_sparse_code(d, x, cfg, gap_tol=1e-6)
     done = len(trace)
     assert done < cfg.max_iters and done % GAP_CHECK_EVERY == 0
     assert duality_gap(d, x, z, cfg.lam) <= 1e-6
-    z_ref, trace_ref = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=done), "patch")
+    z_ref, trace_ref = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=done))
     assert np.array_equal(z, z_ref) and np.array_equal(trace, trace_ref)
     _, earlier = fista_sparse_code(d, x, SparseCodeConfig(lam=0.05, max_iters=done - GAP_CHECK_EVERY),
-                                   "patch", gap_tol=1e-6)
+                                   gap_tol=1e-6)
     assert len(earlier) == done - GAP_CHECK_EVERY
 
 
 def test_gap_tolerance_needs_patch_mode(rng):
+    # Sparse coding synthesizes by patches: any other mode is refused, with
+    # or without a gap tolerance, and a "patch" passed by position (as
+    # perfbench's training workload does) is the default call bit for bit.
     d = Dictionary.random(4, 3, 43)
-    with pytest.raises(ContractError):
-        fista_sparse_code(d, ImageGrid(rng.standard_normal((9, 9))), SparseCodeConfig(lam=0.05),
-                          "convolutional", gap_tol=1e-6)
+    x, cfg = ImageGrid(rng.standard_normal((9, 9))), SparseCodeConfig(lam=0.05)
+    for gap_tol in (None, 1e-6):
+        with pytest.raises(ContractError):
+            fista_sparse_code(d, x, cfg, "convolutional", gap_tol=gap_tol)
+    z, trace = fista_sparse_code(d, x, cfg, "patch")
+    z_ref, trace_ref = fista_sparse_code(d, x, cfg)
+    assert np.array_equal(z, z_ref) and np.array_equal(trace, trace_ref)
 
 
 def test_descent_stop_test_sees_each_state():
@@ -280,14 +276,14 @@ def test_sparse_objective_trivials(rng):
     d, x = tiny_patch_instance(17)
     z0 = PatchSynthesis(d, (4, 4)).zeros()
     img = ImageGrid(x.reshape(4, 4))
-    assert abs(sparse_objective(d, z0, img, 0.7, "patch") - np.sum(x * x)) < 1e-12
+    assert abs(sparse_objective(d, z0, img, 0.7) - np.sum(x * x)) < 1e-12
 
 
 def test_sparse_objective_least_squares_oracle():
     d, x = tiny_patch_instance(19, m=6, k=4)
     D = dense_matrix(d)
     z_ls, *_ = np.linalg.lstsq(D, x, rcond=None)
-    obj = sparse_objective(d, z_ls.reshape(6, 1, 1), ImageGrid(x.reshape(4, 4)), 0.0, "patch")
+    obj = sparse_objective(d, z_ls.reshape(6, 1, 1), ImageGrid(x.reshape(4, 4)), 0.0)
     resid = float(np.sum((D @ z_ls - x) ** 2))
     assert abs(obj - resid) < 1e-12
 
@@ -298,7 +294,7 @@ def test_sparse_objective_hand_instance():
     x = ImageGrid(d.atoms[0])
     z = np.zeros((3, 1, 1))
     z[0, 0, 0] = 1.0
-    obj = sparse_objective(d, z, x, 1.0, "patch")
+    obj = sparse_objective(d, z, x, 1.0)
     assert abs(obj - 1.0) < 1e-12
 
 
@@ -316,7 +312,7 @@ def test_divergence_error_carries_iterate_dump(monkeypatch):
     monkeypatch.setattr(PatchSynthesis, "norm_sq", lambda self: 1e-12)
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
         fista_sparse_code(d, ImageGrid(x.reshape(4, 4)),
-                          SparseCodeConfig(lam=0.1, max_iters=200), "patch")
+                          SparseCodeConfig(lam=0.1, max_iters=200))
     dump = err.value.dump
     assert {"iteration", "objective", "max_abs_z", "lipschitz"} <= set(dump)
     assert dump["lipschitz"] == 1e-12
