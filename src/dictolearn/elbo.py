@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .operators import ContractError, Dictionary, ImageGrid
 from .sparse import SparseCodeConfig, duality_gap, fista_sparse_code
@@ -311,6 +310,7 @@ def log_evidence_quadrature(x, dict_: Dictionary, params: ModelParams,
     nodes, one ``logsumexp`` each, so memory stays flat; feasible only for
     very small m (the grid is capped at 5e7 nodes).
     """
+    from scipy.special import logsumexp  # not at module level: it is slow to import
     x = _check_dims(x, dict_, params)
     m = params.m
     if points < 2:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
 
 __all__ = [
     "ContractError",
@@ -209,6 +208,7 @@ class ConvSynthesis:
         squared norm. The rfft half-plane suffices because real atoms
         have Hermitian-symmetric spectra.
         """
+        from scipy import fft as sfft  # not at module level: it loads scipy.special
         (h, w), k = self.grid_shape, self.dict.atom_side
         fshape = (sfft.next_fast_len(h + k - 1), sfft.next_fast_len(w + k - 1))
         f = sfft.rfft2(self.dict.atoms, fshape)

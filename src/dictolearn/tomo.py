@@ -1,10 +1,10 @@
 """2D tomographic forward model, FBP, and low-dose data simulation.
 
-The projector uses Joseph's linear-interpolation line integrals. Forward
-and back projection are built from one table of interpolation weights, so
-the pair is an exact numerical adjoint. The weights form a sparse matrix
-built in blocks of angles; desk-scale problems keep it, larger ones
-rebuild each block whenever they apply it.
+The projector uses Joseph's linear-interpolation line integrals. The
+weights form one sparse matrix A, built in blocks of angles; desk-scale
+problems keep A once, larger ones rebuild each block whenever they apply
+it. Back projection reads the same entries through A's CSC view, so the
+pair is an exact numerical adjoint and A is never stored twice.
 
 The data chain follows the Beer-Lambert law: expected counts
 ``N0 * exp(-A(x))`` per ray, Poisson noise, then log-linearization back to
@@ -47,9 +47,9 @@ _SPARSE_NNZ_BUDGET = 25_000_000
 # numpy's Generator.poisson refuses expected counts above this (about 9.2e18).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 # Estimated nonzeros per angle block, bounding the assembly temporaries, whose
-# frees move glibc's mmap threshold. After them a desk recon-conv scan's 8.4 MB
-# tiles and windows take about 5 minor faults per iteration (2 at 2M blocks).
-_BLOCK_NNZ = 3_000_000
+# frees move glibc's mmap threshold. After them a desk recon-conv iteration takes
+# 1.2-1.4 minor faults and a solve's start about 5,900 (3M blocks: 0-1.2, 2,500-3,700).
+_BLOCK_NNZ = 500_000
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _ray_tables(geom: AcquisitionGeometry, grid_shape, pixel_spacing, angle_inde
 
 
 class Projector:
-    """Joseph projector A and its exact adjoint, applied in CSR blocks of whole angles."""
+    """Joseph projector A (kept once, as CSR) and its exact adjoint through A's CSC view."""
 
     def __init__(self, geom: AcquisitionGeometry, grid_shape, pixel_spacing: float = 1.0):
         if not 0 < pixel_spacing < np.inf:
@@ -172,43 +172,51 @@ class Projector:
         self._spans = [(a0, min(a0 + step, na)) for a0 in range(0, na, step)]
         self._matrix = None
         if nnz_per_angle * na <= _SPARSE_NNZ_BUDGET:
-            self._matrix = ssp.vstack([self._block(*span) for span in self._spans], format="csr")
-            self._matrix_t = self._matrix.T.tocsr()
+            # Exact per-ray counts size A's arrays; one span's block at a time is copied in.
+            nb = geom.num_bins
+            counts = [np.count_nonzero(self._taps(a)[2], axis=1) for a in range(na)]
+            indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts)))).astype(np.int32)
+            indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+            for a0, a1 in self._spans:
+                block, lo, hi = self._block(a0, a1), indptr[a0 * nb], indptr[a1 * nb]
+                indices[lo:hi], data[lo:hi] = block.indices, block.data
+                del block
+            self._matrix = ssp.csr_matrix((data, indices, indptr),
+                                          shape=(na * nb, self.grid_shape[0] * self.grid_shape[1]))
         self._norm_sq = None
+
+    def _taps(self, a: int):
+        """Angle ``a``'s ``(idx, w, keep)``, a row per ray; A's entries are taps with w != 0."""
+        idx0, idx1, w0, w1 = _ray_tables(self.geom, self.grid_shape, self.pixel_spacing, a)
+        idx = np.stack((idx0, idx1), axis=1).reshape(-1, self.geom.num_bins).T
+        w = np.stack((w0, w1), axis=1).reshape(-1, self.geom.num_bins).T
+        return idx, w, w != 0.0
 
     def _block(self, a0: int, a1: int) -> ssp.csr_matrix:
         """Rows of A for angles ``[a0, a1)``, numbered from 0.
 
-        A ray's row lists its two taps slab by slab, in column order already
-        for rays that march over rows, which keeps the sort cheap. Two taps
-        with nonzero weights are distinct pixels, so no entry repeats.
+        A ray lists its two taps slab by slab, in column order already for
+        rays that march over rows, which keeps the sort cheap. Two kept taps
+        are distinct pixels, so no entry repeats.
         """
         counts, cols, data = [], [], []
-        nb = self.geom.num_bins
-        for a in range(a0, a1):
-            idx0, idx1, w0, w1 = _ray_tables(self.geom, self.grid_shape, self.pixel_spacing, a)
-            idx = np.stack((idx0, idx1), axis=1).reshape(-1, nb).T
-            w = np.stack((w0, w1), axis=1).reshape(-1, nb).T
-            keep = w != 0.0
+        for idx, w, keep in map(self._taps, range(a0, a1)):
             counts.append(np.count_nonzero(keep, axis=1))
             cols.append(idx[keep])
             data.append(w[keep])
         indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        block = ssp.csr_matrix(
-            (np.concatenate(data), np.concatenate(cols), indptr),
-            shape=((a1 - a0) * nb, self.grid_shape[0] * self.grid_shape[1]),
-        )
+        shape = ((a1 - a0) * self.geom.num_bins, self.grid_shape[0] * self.grid_shape[1])
+        block = ssp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=shape)
         block.sort_indices()
         return block
 
     def _blocks(self):
-        """Yield ``(a0, a1, block, transpose)`` over the angle blocks."""
+        """Yield ``(a0, a1, block)`` over the angle blocks; the adjoint reads ``block.T``."""
         if self._matrix is not None:
-            yield 0, self.geom.num_angles, self._matrix, self._matrix_t
+            yield 0, self.geom.num_angles, self._matrix
             return
         for a0, a1 in self._spans:
-            block = self._block(a0, a1)
-            yield a0, a1, block, block.T
+            yield a0, a1, self._block(a0, a1)
 
     def forward(self, image_values: np.ndarray) -> np.ndarray:
         image_values = np.asarray(image_values, dtype=np.float64)
@@ -216,8 +224,8 @@ class Projector:
             raise ContractError(f"image shape {image_values.shape} != {self.grid_shape}")
         flat = image_values.ravel()
         out = np.empty(self.geom.shape)
-        for a0, a1, mat, _ in self._blocks():
-            out[a0:a1] = (mat @ flat).reshape(a1 - a0, -1)
+        for a0, a1, block in self._blocks():
+            out[a0:a1] = (block @ flat).reshape(a1 - a0, -1)
         return out
 
     def adjoint(self, sino_values: np.ndarray) -> np.ndarray:
@@ -225,8 +233,8 @@ class Projector:
         if sino_values.shape != self.geom.shape:
             raise ContractError(f"sinogram shape {sino_values.shape} != {self.geom.shape}")
         acc = np.zeros(self.grid_shape[0] * self.grid_shape[1])
-        for a0, a1, _, mat_t in self._blocks():
-            acc += mat_t @ sino_values[a0:a1].ravel()
+        for a0, a1, block in self._blocks():
+            acc += block.T @ sino_values[a0:a1].ravel()
         return acc.reshape(self.grid_shape)
 
     def norm_sq(self) -> float:

@@ -37,7 +37,8 @@ def test_package_imports_are_exported():
 @pytest.mark.parametrize("module", ["dictolearn", "dictolearn.cli"])
 def test_import_loads_no_signal_or_stats(module):
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats', 'scipy.fft', 'scipy.special'))))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)

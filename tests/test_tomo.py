@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +88,7 @@ def test_projector_adjoint_identity(geom, block_angles, rng, monkeypatch):
 def test_streamed_blocks_match_kept_matrix(geom, block_angles, rng, monkeypatch):
     kept = Projector(geom, (16, 16), 1.0)
     streamed = streamed_projector(monkeypatch, geom, (16, 16), block_angles)
-    sizes = [a1 - a0 for a0, a1, _, _ in streamed._blocks()]
+    sizes = [a1 - a0 for a0, a1, _ in streamed._blocks()]
     assert len(sizes) >= 4 and set(sizes[:-1]) == {block_angles} and sizes[-1] < block_angles
     assert sum(sizes) == geom.num_angles
     x = rng.standard_normal((16, 16))
@@ -149,9 +153,22 @@ def test_matrix_matches_coo_assembly(geom, grid_shape, spacing):
     if geom is ODD:
         # The detector is wider than the grid's diagonal, so edge rays miss.
         assert np.any(np.diff(ref.indptr) == 0)
-    for got, want in ((proj.matrix, ref), (proj._matrix_t, ref.T.tocsr())):
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(proj.matrix, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("geom, grid_shape", [
+    pytest.param(PAR, (16, 16), id="parallel"),
+    pytest.param(ODD, (20, 28), id="odd"),
+])
+def test_kept_adjoint_matches_transpose_copy(geom, grid_shape, rng):
+    # The adjoint reads A's CSC view and gives the bits of a CSR copy of A^T.
+    proj = Projector(geom, grid_shape, 1.0)
+    assert not hasattr(proj, "_matrix_t")
+    s = rng.standard_normal(geom.shape)
+    want = (proj.matrix.T.tocsr() @ s.ravel()).reshape(grid_shape)
+    assert np.array_equal(proj.adjoint(s), want)
 
 
 def test_rebuilt_blocks_match_kept_matrix_bitwise(rng, monkeypatch):
@@ -169,16 +186,34 @@ def test_rebuilt_blocks_match_kept_matrix_bitwise(rng, monkeypatch):
 
 def test_projector_build_memory_peak():
     # Blocks bound the assembly temporaries: the build peaks near the
-    # size of what the projector keeps, the matrix and its transpose.
+    # size of what the projector keeps, the matrix alone.
     tracemalloc.start()
     try:
         proj = Projector(desk.GEOM, desk.GRID, desk.SPACING)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for m in (proj.matrix, proj._matrix_t)
-               for a in (m.data, m.indices, m.indptr))
+    kept = sum(a.nbytes for a in (proj.matrix.data, proj.matrix.indices, proj.matrix.indptr))
     assert peak <= 1.25 * kept
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_projector_build_resident_memory():
+    # A fresh process's peak resident memory grows by about one matrix
+    # while the desk projector is built, not by two copies of it. VmHWM is
+    # the process's own peak; ru_maxrss would start at the parent's RSS.
+    code = ("import re\n"
+            "from dictolearn import desk, tomo\n"
+            "def peak():\n"
+            "    return int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])\n"
+            "before = peak()\n"
+            "m = tomo.Projector(desk.GEOM, desk.GRID, desk.SPACING).matrix\n"
+            "print(1024 * (peak() - before) / sum(a.nbytes for a in (m.data, m.indices, m.indptr)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tomo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert float(proc.stdout) <= 1.6
 
 
 def test_back_project_zero():
